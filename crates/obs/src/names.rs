@@ -41,6 +41,10 @@ pub const SOFTMC_FAULT_HANG: &str = "softmc.fault.hang";
 pub const SOFTMC_FAULT_EVENT: &str = "softmc.fault";
 /// Event: the host link wedged (op, after_ops).
 pub const SOFTMC_HANG_EVENT: &str = "softmc.hang";
+/// Span: one `MemController::drain` (fields: requests, scanned).
+pub const SOFTMC_MEMCTL_DRAIN: &str = "softmc.memctl.drain";
+/// Queue entries the FR-FCFS arbiter compared against the open row.
+pub const SOFTMC_MEMCTL_PICK_SCANNED: &str = "softmc.memctl.pick_scanned";
 
 /// Histogram: wall latency of issuing one ACT (ns).
 pub const SOFTMC_ISSUE_ACT_NS: &str = "softmc.issue.act.ns";
@@ -288,6 +292,8 @@ pub fn all() -> &'static [&'static str] {
         SOFTMC_FAULT_HANG,
         SOFTMC_FAULT_EVENT,
         SOFTMC_HANG_EVENT,
+        SOFTMC_MEMCTL_DRAIN,
+        SOFTMC_MEMCTL_PICK_SCANNED,
         SOFTMC_ISSUE_ACT_NS,
         SOFTMC_ISSUE_PRE_NS,
         SOFTMC_ISSUE_PRE_ALL_NS,

@@ -16,6 +16,7 @@
 
 use crate::error::SoftMcError;
 use rh_dram::{BankId, DramModule, Picos, RowAddr, TimingParams};
+use rh_obs::names;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -170,20 +171,31 @@ impl MemController {
         self.stats
     }
 
-    /// Enqueues a request.
+    /// Enqueues a request, keeping its bank queue in arrival order.
+    ///
+    /// A request arriving no earlier than the queue's back is appended
+    /// (the common, O(1) case). An out-of-order request is inserted
+    /// after every queued request that arrived no later than it, so
+    /// ties keep submission order and the queue front is always the
+    /// oldest request.
     ///
     /// # Errors
     ///
     /// Rejects out-of-range banks.
     pub fn submit(&mut self, req: MemRequest) -> Result<(), SoftMcError> {
         let idx = req.bank.0 as usize;
-        if idx >= self.queues.len() {
+        let Some(q) = self.queues.get_mut(idx) else {
             return Err(SoftMcError::Dram(rh_dram::DramError::BankOutOfRange {
                 bank: req.bank,
                 banks: self.queues.len() as u32,
             }));
+        };
+        if q.back().is_none_or(|b| b.arrival <= req.arrival) {
+            q.push_back(req);
+        } else {
+            let at = q.partition_point(|r| r.arrival <= req.arrival);
+            q.insert(at, req);
         }
-        self.queues[idx].push_back(req);
         Ok(())
     }
 
@@ -191,18 +203,23 @@ impl MemController {
     /// the oldest request. A request is pending once it has arrived by
     /// the time the bank is next ready — preferring a not-yet-arrived
     /// hit would idle the bank past older work.
-    fn pick(&self, bank: usize) -> Option<usize> {
+    ///
+    /// The queue is in arrival order (see [`Self::submit`]), so the
+    /// pending requests are a prefix of it and the scan stops at the
+    /// first one that has not arrived: the cost per pick is bounded by
+    /// the pending window, not the queue length. `scanned` accumulates
+    /// the entries compared against the open row.
+    fn pick(&self, bank: usize, scanned: &mut u64) -> Option<usize> {
         let q = &self.queues[bank];
         let front = q.front()?;
         let horizon = self.banks[bank].ready_at.max(front.arrival);
-        if let Some(open) = self.banks[bank].open_row {
-            if let Some(pos) =
-                q.iter().position(|r| r.row == open && r.arrival <= horizon)
-            {
-                return Some(pos);
-            }
-        }
-        Some(0)
+        let hit = self.banks[bank].open_row.and_then(|open| {
+            q.iter().take_while(|r| r.arrival <= horizon).position(|r| {
+                *scanned += 1;
+                r.row == open
+            })
+        });
+        Some(hit.unwrap_or(0))
     }
 
     fn run_hook(&mut self, bank: BankId, row: RowAddr, at: Picos) -> (Picos, u64, Picos) {
@@ -233,9 +250,12 @@ impl MemController {
     /// accumulated statistics. Banks proceed independently; time is the
     /// max over banks (no channel contention modeled).
     pub fn drain(&mut self) -> MemStats {
+        let mut span = rh_obs::span(names::SOFTMC_MEMCTL_DRAIN);
         let timing: TimingParams = self.module.config().timing;
+        let completed_before = self.stats.completed;
+        let mut scanned = 0u64;
         for bank in 0..self.queues.len() {
-            while let Some(pos) = self.pick(bank) {
+            while let Some(pos) = self.pick(bank, &mut scanned) {
                 let Some(req) = self.queues[bank].remove(pos) else {
                     break;
                 };
@@ -298,6 +318,9 @@ impl MemController {
                 self.now = self.now.max(t);
             }
         }
+        rh_obs::counter(names::SOFTMC_MEMCTL_PICK_SCANNED, scanned);
+        span.set("requests", self.stats.completed - completed_before);
+        span.set("scanned", scanned);
         self.stats
     }
 }
