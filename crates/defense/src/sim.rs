@@ -7,7 +7,7 @@
 //! improvements do).
 
 use crate::traits::{Defense, DefenseAction};
-use rh_dram::{BankId, Picos, RowAddr, RowMapping};
+use rh_dram::{BankId, DramModule, Picos, RowAddr, RowMapping};
 use rh_softmc::{SoftMcError, TestBench};
 use serde::{Deserialize, Serialize};
 use rh_obs::names;
@@ -85,13 +85,16 @@ impl DefenseSim {
         &mut self,
         actions: Vec<DefenseAction>,
         victim: RowAddr,
+        run: &mut Deferred,
         now: &mut Picos,
         outcome: &mut DefenseOutcome,
     ) -> Result<(), SoftMcError> {
         for a in actions {
             match a {
                 DefenseAction::RefreshRow(phys) => {
-                    self.bench.module_mut().refresh_row_physical(self.bank, phys)?;
+                    let module = self.bench.module_mut();
+                    run.flush(module)?;
+                    module.refresh_row_physical(self.bank, phys)?;
                     rh_obs::counter(names::DEFENSE_REFRESH, 1);
                     outcome.refreshes += 1;
                     if phys == victim {
@@ -111,10 +114,22 @@ impl DefenseSim {
     }
 
     /// Runs a many-sided (TRRespass-style) attack: `pairs` nested
-    /// aggressor pairs hammered round-robin around `victim`. With one
-    /// pair this is the standard double-sided attack; with many pairs
-    /// the center victim still receives its full distance-1 dose while
-    /// capacity-limited trackers (the in-DRAM TRR sampler) overflow.
+    /// aggressor pairs hammered round-robin around physical `victim`
+    /// for up to `hammers` rounds within `time_budget` (defaults to one
+    /// 64 ms refresh window), with `defense` observing every
+    /// activation. One pair is the standard double-sided attack; with
+    /// many pairs the center victim still receives its full distance-1
+    /// dose while capacity-limited trackers (the in-DRAM TRR sampler)
+    /// overflow.
+    ///
+    /// Defenses never read DRAM state and throttles only advance the
+    /// simulation clock (the module's own clock counts activations
+    /// alone), so the DRAM side of the activations between two
+    /// refreshes is deferred and flushed as one
+    /// [`DramModule::hammer_round_robin`](rh_dram::DramModule::hammer_round_robin)
+    /// call just before the next DRAM access: a defense refresh or the
+    /// final victim read. The outcome is bit-identical to hammering
+    /// each activation as it happens.
     ///
     /// # Errors
     ///
@@ -127,9 +142,13 @@ impl DefenseSim {
         hammers: u64,
         time_budget: Option<Picos>,
     ) -> Result<DefenseOutcome, SoftMcError> {
+        let mut span = rh_obs::span(names::DEFENSE_SIM_RUN);
+        span.set("defense", defense.name());
+        span.set("pairs", u64::from(pairs));
         let timing = self.bench.module().config().timing;
         let budget = time_budget.unwrap_or(timing.t_refw);
         let row_bytes = self.bench.module().row_bytes();
+        // Victim neighborhood: all zeros (anti-cells flip).
         let reach = 2 * i64::from(pairs);
         for d in -reach..=reach {
             let phys = victim.offset(d);
@@ -141,6 +160,15 @@ impl DefenseSim {
             aggressors.push(victim.offset(-(2 * d - 1)));
             aggressors.push(victim.offset(2 * d - 1));
         }
+        let mut run = Deferred {
+            bank: self.bank,
+            rows: aggressors.iter().map(|&p| self.mapping.physical_to_logical(p)).collect(),
+            timing: (timing.t_ras, timing.t_rp),
+            start: 0,
+            count: 0,
+            flushed: 0,
+            flushes: 0,
+        };
         let mut outcome = DefenseOutcome {
             defense: defense.name().to_string(),
             victim_flips: 0,
@@ -160,89 +188,62 @@ impl DefenseSim {
                 }
                 while now >= next_ref {
                     let acts = defense.on_ref();
-                    self.apply_actions(acts, victim, &mut now, &mut outcome)?;
+                    self.apply_actions(acts, victim, &mut run, &mut now, &mut outcome)?;
                     next_ref += self.refresh_interval.unwrap_or(Picos::MAX);
                 }
-                let logical = self.mapping.physical_to_logical(phys);
-                self.bench
-                    .module_mut()
-                    .hammer_direct(self.bank, logical, 1, timing.t_ras, timing.t_rp)?;
+                run.count += 1;
                 now += step;
                 let acts = defense.on_activation(self.bank, phys, now);
-                self.apply_actions(acts, victim, &mut now, &mut outcome)?;
+                self.apply_actions(acts, victim, &mut run, &mut now, &mut outcome)?;
             }
             outcome.achieved_hammers += 1;
         }
         outcome.duration = now;
+        run.flush(self.bench.module_mut())?;
         let logical = self.mapping.physical_to_logical(victim);
         let read = self.bench.module_mut().read_row_direct(self.bank, logical)?;
         outcome.victim_flips = read.iter().map(|b| u64::from(b.count_ones())).sum();
+        span.set("activations", run.flushed);
+        span.set("flushes", run.flushes);
         Ok(outcome)
     }
+}
 
-    /// Runs a double-sided attack on physical `victim` for up to
-    /// `hammers` per aggressor within `time_budget` (defaults to one
-    /// 64 ms refresh window), with `defense` observing every
-    /// activation.
-    ///
-    /// # Errors
-    ///
-    /// Device/infrastructure errors.
-    pub fn run_double_sided(
-        &mut self,
-        defense: &mut dyn Defense,
-        victim: RowAddr,
-        hammers: u64,
-        time_budget: Option<Picos>,
-    ) -> Result<DefenseOutcome, SoftMcError> {
-        let timing = self.bench.module().config().timing;
-        let budget = time_budget.unwrap_or(timing.t_refw);
-        let row_bytes = self.bench.module().row_bytes();
-        // Victim neighborhood: all zeros (anti-cells flip).
-        for d in -2i64..=2 {
-            let phys = victim.offset(d);
-            let logical = self.mapping.physical_to_logical(phys);
-            self.bench.module_mut().write_row_direct(self.bank, logical, &vec![0u8; row_bytes])?;
+/// The aggressor activations issued since the last DRAM access, kept
+/// as a `(start, count)` stretch of the round-robin order.
+#[derive(Debug)]
+struct Deferred {
+    bank: BankId,
+    /// Logical aggressor rows in hammer order.
+    rows: Vec<RowAddr>,
+    /// `(t_on, t_off)` of every activation.
+    timing: (Picos, Picos),
+    /// Index into `rows` of the first deferred activation.
+    start: usize,
+    /// Deferred activations.
+    count: u64,
+    /// Activations flushed so far.
+    flushed: u64,
+    /// Non-empty flushes so far.
+    flushes: u64,
+}
+
+impl Deferred {
+    /// Hammers the deferred stretch into `module` before it is next
+    /// accessed.
+    fn flush(&mut self, module: &mut DramModule) -> Result<(), SoftMcError> {
+        if self.count == 0 {
+            return Ok(());
         }
-        let aggressors = [victim.offset(-1), victim.offset(1)];
-        let mut outcome = DefenseOutcome {
-            defense: defense.name().to_string(),
-            victim_flips: 0,
-            refreshes: 0,
-            victim_refreshes: 0,
-            throttle_delay: 0,
-            achieved_hammers: 0,
-            duration: 0,
-        };
-        let mut now: Picos = 0;
-        let mut next_ref = self.refresh_interval.unwrap_or(Picos::MAX);
-        let step = timing.t_ras + timing.t_rp;
-        'attack: for _ in 0..hammers {
-            for phys in aggressors {
-                if now >= budget {
-                    break 'attack;
-                }
-                // REF stream.
-                while now >= next_ref {
-                    let acts = defense.on_ref();
-                    self.apply_actions(acts, victim, &mut now, &mut outcome)?;
-                    next_ref += self.refresh_interval.unwrap_or(Picos::MAX);
-                }
-                let logical = self.mapping.physical_to_logical(phys);
-                self.bench
-                    .module_mut()
-                    .hammer_direct(self.bank, logical, 1, timing.t_ras, timing.t_rp)?;
-                now += step;
-                let acts = defense.on_activation(self.bank, phys, now);
-                self.apply_actions(acts, victim, &mut now, &mut outcome)?;
-            }
-            outcome.achieved_hammers += 1;
-        }
-        outcome.duration = now;
-        let logical = self.mapping.physical_to_logical(victim);
-        let read = self.bench.module_mut().read_row_direct(self.bank, logical)?;
-        outcome.victim_flips = read.iter().map(|b| u64::from(b.count_ones())).sum();
-        Ok(outcome)
+        let (t_on, t_off) = self.timing;
+        module.hammer_round_robin(self.bank, &self.rows, self.start, self.count, t_on, t_off)?;
+        rh_obs::counter(names::DEFENSE_SIM_FLUSHES, 1);
+        self.flushed += self.count;
+        self.flushes += 1;
+        self.start =
+            (self.start + (self.count % self.rows.len() as u64) as usize) % self.rows.len();
+        self.count = 0;
+        Ok(())
     }
 }
 
@@ -252,7 +253,8 @@ mod tests {
     use crate::graphene::Graphene;
     use crate::para::Para;
     use crate::traits::NoDefense;
-    use rh_dram::Manufacturer;
+    use rh_dram::{BitFlip, DisturbanceModel, Manufacturer};
+    use rh_faultmodel::RowHammerModel;
 
     /// Hammer budget for tests: enough to flip bits on Mfr. B
     /// undefended, small enough for debug-mode speed.
@@ -268,7 +270,7 @@ mod tests {
     fn undefended_attack_succeeds() {
         let mut s = sim();
         let mut none = NoDefense;
-        let o = s.run_double_sided(&mut none, RowAddr(5000), HAMMERS, None).unwrap();
+        let o = s.run_many_sided(&mut none, RowAddr(5000), 1, HAMMERS, None).unwrap();
         assert!(!o.defended(), "undefended module must flip at 150K hammers");
         assert_eq!(o.achieved_hammers, HAMMERS);
         assert_eq!(o.refreshes, 0);
@@ -278,7 +280,7 @@ mod tests {
     fn graphene_stops_the_attack() {
         let mut s = sim();
         let mut g = Graphene::new(8_000, 1_300_000);
-        let o = s.run_double_sided(&mut g, RowAddr(5000), HAMMERS, None).unwrap();
+        let o = s.run_many_sided(&mut g, RowAddr(5000), 1, HAMMERS, None).unwrap();
         assert!(o.defended(), "Graphene@8K let {} flips through", o.victim_flips);
         assert!(o.refreshes > 0);
     }
@@ -287,10 +289,10 @@ mod tests {
     fn para_reduces_flips() {
         let mut baseline = sim();
         let mut none = NoDefense;
-        let b = baseline.run_double_sided(&mut none, RowAddr(5000), HAMMERS, None).unwrap();
+        let b = baseline.run_many_sided(&mut none, RowAddr(5000), 1, HAMMERS, None).unwrap();
         let mut s = sim();
         let mut p = Para::new(0.005, 3);
-        let o = s.run_double_sided(&mut p, RowAddr(5000), HAMMERS, None).unwrap();
+        let o = s.run_many_sided(&mut p, RowAddr(5000), 1, HAMMERS, None).unwrap();
         assert!(o.victim_flips <= b.victim_flips);
         assert!(o.refreshes > 0);
     }
@@ -299,7 +301,7 @@ mod tests {
     fn blockhammer_throttling_caps_achieved_hammers() {
         let mut s = sim();
         let mut bh = crate::blockhammer::BlockHammer::new(4_000, 64_000_000_000, 5);
-        let o = s.run_double_sided(&mut bh, RowAddr(5000), HAMMERS, None).unwrap();
+        let o = s.run_many_sided(&mut bh, RowAddr(5000), 1, HAMMERS, None).unwrap();
         assert!(o.throttle_delay > 0, "BlockHammer never throttled");
         assert!(
             o.achieved_hammers < HAMMERS,
@@ -312,7 +314,7 @@ mod tests {
     fn trr_defends_double_sided_but_not_many_sided_tracking() {
         let mut s = sim();
         let mut trr = crate::trr::TargetRowRefresh::new(4, 2);
-        let o = s.run_double_sided(&mut trr, RowAddr(5000), HAMMERS, None).unwrap();
+        let o = s.run_many_sided(&mut trr, RowAddr(5000), 1, HAMMERS, None).unwrap();
         // With only two aggressors, the sampler sees them: defended.
         assert!(o.defended(), "TRR missed a plain double-sided attack");
         assert!(o.refreshes > 0);
@@ -329,7 +331,7 @@ mod tests {
         // collapses and the energy cost explodes.
         let mut a = sim();
         let mut trr1 = crate::trr::TargetRowRefresh::new(4, 2);
-        let ds = a.run_double_sided(&mut trr1, RowAddr(5000), 60_000, None).unwrap();
+        let ds = a.run_many_sided(&mut trr1, RowAddr(5000), 1, 60_000, None).unwrap();
         let mut b = sim();
         let mut trr2 = crate::trr::TargetRowRefresh::new(4, 2);
         let ms = b.run_many_sided(&mut trr2, RowAddr(5000), 8, 60_000, None).unwrap();
@@ -342,25 +344,85 @@ mod tests {
         );
     }
 
+    /// The fault model with `hammer_round_robin` left at its default,
+    /// so the module hammers every activation through `hammer_direct`:
+    /// the reference the batched loop must reproduce.
+    struct PerActivation(RowHammerModel);
+
+    impl DisturbanceModel for PerActivation {
+        fn configure_geometry(&mut self, rows_per_bank: u32, row_bytes: usize) {
+            self.0.configure_geometry(rows_per_bank, row_bytes);
+        }
+        fn on_hammer(&mut self, bank: BankId, row: RowAddr, count: u64, t_on: Picos, t_off: Picos) {
+            self.0.on_hammer(bank, row, count, t_on, t_off);
+        }
+        fn flips_on_activate(
+            &mut self,
+            bank: BankId,
+            row: RowAddr,
+            data: &[u8],
+            now: Picos,
+        ) -> Vec<BitFlip> {
+            self.0.flips_on_activate(bank, row, data, now)
+        }
+        fn on_restore(&mut self, bank: BankId, row: RowAddr, now: Picos) {
+            self.0.on_restore(bank, row, now);
+        }
+        fn set_temperature(&mut self, celsius: f64) {
+            self.0.set_temperature(celsius);
+        }
+        fn temperature(&self) -> f64 {
+            self.0.temperature()
+        }
+    }
+
+    fn reference_sim() -> DefenseSim {
+        let mut bench = TestBench::new(Manufacturer::B, 99);
+        let cfg = *bench.module().config();
+        let model = PerActivation(RowHammerModel::new(Manufacturer::B, 99));
+        *bench.module_mut() = DramModule::with_model(cfg, Box::new(model));
+        bench.set_temperature(75.0).unwrap();
+        DefenseSim::new(bench)
+    }
+
+    /// The `defense-matrix` roster (double-sided) followed by the
+    /// `trrespass` sweep (its one-pair run is the matrix's TRR entry).
+    fn roster() -> Vec<(Box<dyn Defense>, u8)> {
+        let mut runs: Vec<(Box<dyn Defense>, u8)> = vec![
+            (Box::new(NoDefense), 1),
+            (Box::new(Para::new(0.002, 7)), 1),
+            (Box::new(Graphene::new(8_000, 1_300_000)), 1),
+            (Box::new(crate::blockhammer::BlockHammer::new(4_000, 64_000_000_000, 5)), 1),
+            (Box::new(crate::trr::TargetRowRefresh::new(4, 2)), 1),
+            (Box::new(crate::twice::Twice::new(8_000, 64_000_000_000)), 1),
+        ];
+        for pairs in [2u8, 4, 8, 12] {
+            runs.push((Box::new(crate::trr::TargetRowRefresh::new(4, 2)), pairs));
+        }
+        runs
+    }
+
     #[test]
-    fn many_sided_with_one_pair_equals_double_sided() {
-        let mut a = sim();
-        let mut b = sim();
-        let mut n1 = NoDefense;
-        let mut n2 = NoDefense;
-        let x = a.run_double_sided(&mut n1, RowAddr(5000), 40_000, None).unwrap();
-        let y = b.run_many_sided(&mut n2, RowAddr(5000), 1, 40_000, None).unwrap();
-        assert_eq!(x.achieved_hammers, y.achieved_hammers);
-        // Same module identity, same dose: flip counts match within
-        // trial noise.
-        assert!(x.victim_flips.abs_diff(y.victim_flips) <= 2);
+    fn batched_loop_matches_per_activation_reference() {
+        for ((mut fast, pairs), (mut reference, _)) in roster().into_iter().zip(roster()) {
+            let got = sim().run_many_sided(fast.as_mut(), RowAddr(5000), pairs, 20_000, None);
+            let want = reference_sim().run_many_sided(
+                reference.as_mut(),
+                RowAddr(5000),
+                pairs,
+                20_000,
+                None,
+            );
+            let (got, want) = (got.unwrap(), want.unwrap());
+            assert_eq!(got, want, "{} x{pairs}", got.defense);
+        }
     }
 
     #[test]
     fn energy_accounting_is_consistent() {
         let mut s = sim();
         let mut p = Para::new(0.005, 3);
-        let o = s.run_double_sided(&mut p, RowAddr(5000), 60_000, None).unwrap();
+        let o = s.run_many_sided(&mut p, RowAddr(5000), 1, 60_000, None).unwrap();
         assert!(o.attack_energy_pj() > 0.0);
         // PARA's refresh energy is a small fraction of attack energy at
         // p = 0.5%.
@@ -371,7 +433,7 @@ mod tests {
     fn twice_defends_double_sided() {
         let mut s = sim();
         let mut tw = crate::twice::Twice::new(8_000, 64_000_000_000);
-        let o = s.run_double_sided(&mut tw, RowAddr(5000), HAMMERS, None).unwrap();
+        let o = s.run_many_sided(&mut tw, RowAddr(5000), 1, HAMMERS, None).unwrap();
         assert!(o.defended(), "TWiCe@8K let {} flips through", o.victim_flips);
         assert!(o.refreshes > 0);
     }

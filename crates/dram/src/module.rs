@@ -38,6 +38,33 @@ pub trait DisturbanceModel: Send {
     /// episodes with on-time `t_on` and off-time `t_off` each.
     fn on_hammer(&mut self, bank: BankId, row: RowAddr, count: u64, t_on: Picos, t_off: Picos);
 
+    /// Batched round-robin hammering for
+    /// [`DramModule::hammer_round_robin`]: replays activations of the
+    /// *physical* `rows`, starting at `rows[start]` and cycling, each
+    /// exactly as one `hammer_direct(…, 1, timing.0, timing.1)` would
+    /// leave the model (aggressor sensed and restored at its sense
+    /// time, then one episode of disturbance on its neighbours). The
+    /// first activation senses at `now`; each later one a full
+    /// `t_on + t_off` after the previous.
+    ///
+    /// Returns how many of the `acts` activations it replayed. A model
+    /// stops before any activation whose sense could materialize a bit
+    /// flip (the module runs that one through `hammer_direct` and
+    /// calls again). The default replays none, so the module loops
+    /// `hammer_direct` — the reference path the override must match
+    /// bit for bit.
+    fn hammer_round_robin(
+        &mut self,
+        _bank: BankId,
+        _rows: &[RowAddr],
+        _start: usize,
+        _acts: u64,
+        _now: Picos,
+        _timing: (Picos, Picos),
+    ) -> u64 {
+        0
+    }
+
     /// The bit flips to materialize in `row` when its cells are sensed
     /// at time `now` (i.e., on activation), given the currently stored
     /// `data`. `now` lets the model account time-dependent error
@@ -450,6 +477,78 @@ impl DramModule {
         self.model.on_hammer(bank, phys, count, t_on, t_off);
         self.banks[bank.0 as usize].record_bulk_activations(phys, count);
         self.now += count * (t_on + t_off);
+        Ok(())
+    }
+
+    /// Round-robin hammering: `acts` single activations of the logical
+    /// `rows`, starting at `rows[start % rows.len()]` and cycling —
+    /// bit-identical to `acts` calls of `hammer_direct(bank, row, 1,
+    /// t_on, t_off)` over the same sequence (time, per-bank activation
+    /// stats, episode counter, fault-model state). The installed
+    /// [`DisturbanceModel`] replays quiet stretches in one call; any
+    /// activation it declines goes through [`hammer_direct`].
+    ///
+    /// Every row is validated before the first activation.
+    ///
+    /// [`hammer_direct`]: DramModule::hammer_direct
+    ///
+    /// # Errors
+    ///
+    /// Range errors for bad addresses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty while `acts > 0`.
+    pub fn hammer_round_robin(
+        &mut self,
+        bank: BankId,
+        rows: &[RowAddr],
+        start: usize,
+        acts: u64,
+        t_on: Picos,
+        t_off: Picos,
+    ) -> Result<(), DramError> {
+        if acts == 0 {
+            return Ok(());
+        }
+        assert!(!rows.is_empty(), "round-robin hammering needs at least one row");
+        self.check_bank(bank)?;
+        for &row in rows {
+            self.check_row(row)?;
+        }
+        rh_obs::counter(names::DRAM_HAMMER_ROUND_ROBIN_ACTS, acts);
+        let phys: Vec<RowAddr> =
+            rows.iter().map(|&r| self.cfg.mapping.logical_to_physical(r)).collect();
+        let len = rows.len();
+        let mut pos = start % len;
+        let mut left = acts;
+        while left > 0 {
+            let done = self
+                .model
+                .hammer_round_robin(bank, &phys, pos, left, self.now, (t_on, t_off))
+                .min(left);
+            if done > 0 {
+                rh_obs::counter(names::DRAM_HAMMER_EPISODES, done);
+                let bank_state = &mut self.banks[bank.0 as usize];
+                let (laps, rest) = (done / len as u64, (done % len as u64) as usize);
+                for (i, &row) in phys.iter().enumerate() {
+                    // Positions pos, pos+1, … (cyclic) get the `rest`
+                    // activations beyond the full laps.
+                    let extra = (i + len - pos) % len < rest;
+                    bank_state.record_bulk_activations(row, laps + u64::from(extra));
+                }
+                self.now += done * (t_on + t_off);
+                pos = (pos + rest) % len;
+                left -= done;
+            }
+            if left > 0 {
+                // The model declined this activation: its sense could
+                // flip a bit (or the model does not batch at all).
+                self.hammer_direct(bank, rows[pos], 1, t_on, t_off)?;
+                pos = (pos + 1) % len;
+                left -= 1;
+            }
+        }
         Ok(())
     }
 

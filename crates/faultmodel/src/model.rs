@@ -28,6 +28,9 @@ const RETENTION_CACHE_CAP: usize = 8192;
 const KERNEL_CACHE_CAP: usize = 2048;
 /// Process-global bound on shared temperature surfaces.
 const SURFACE_CACHE_CAP: usize = 4096;
+/// Widest physical row window `hammer_round_robin` replays; wider row
+/// sets take the module's per-activation path.
+const ROUND_ROBIN_MAX_WINDOW: usize = 1024;
 
 /// Which evaluation path [`RowHammerModel::flips_on_activate`] takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,6 +286,34 @@ impl RowHammerModel {
         now.saturating_sub(self.last_restore.get(&(bank.0, row.0)).copied().unwrap_or(now))
     }
 
+    /// Distance-1 disturbance units of `count` episodes at `(t_on,
+    /// t_off)`, memoizing the timing factors of the last pair.
+    fn episode_units(&mut self, count: u64, t_on: Picos, t_off: Picos) -> f64 {
+        let (gon, goff) = match self.timing_memo {
+            Some((on, off, gon, goff)) if on == t_on && off == t_off => (gon, goff),
+            _ => {
+                let gon = disturb::g_on(&self.profile, t_on);
+                let goff = disturb::g_off(&self.profile, t_off);
+                self.timing_memo = Some((t_on, t_off, gon, goff));
+                (gon, goff)
+            }
+        };
+        // Same association order as `disturb::units_distance1`, so the
+        // memo changes nothing about the accumulated values.
+        0.5 * count as f64 * gon * goff
+    }
+
+    /// The shortest retention time at the current temperature of any
+    /// retention-weak cell of a physical row: sensing the row after a
+    /// longer idle may leak a cell.
+    fn min_retention(&mut self, bank: BankId, row: RowAddr) -> f64 {
+        let temperature = self.temperature;
+        self.retention_cells(bank, row)
+            .iter()
+            .map(|c| c.retention_at(temperature))
+            .fold(f64::INFINITY, f64::min)
+    }
+
     /// The columnar kernel of a row, building (and caching) it on
     /// first use.
     fn kernel_mut(&mut self, bank: BankId, row: RowAddr) -> Option<&mut RowKernel> {
@@ -309,18 +340,7 @@ impl DisturbanceModel for RowHammerModel {
     }
 
     fn on_hammer(&mut self, bank: BankId, row: RowAddr, count: u64, t_on: Picos, t_off: Picos) {
-        let (gon, goff) = match self.timing_memo {
-            Some((on, off, gon, goff)) if on == t_on && off == t_off => (gon, goff),
-            _ => {
-                let gon = disturb::g_on(&self.profile, t_on);
-                let goff = disturb::g_off(&self.profile, t_off);
-                self.timing_memo = Some((t_on, t_off, gon, goff));
-                (gon, goff)
-            }
-        };
-        // Same association order as `disturb::units_distance1`, so the
-        // memo changes nothing about the accumulated values.
-        let units = 0.5 * count as f64 * gon * goff;
+        let units = self.episode_units(count, t_on, t_off);
         let rows = self.rows_per_bank as i64;
         // Distance-1 victims, clamped to rows that exist: dose on
         // nonexistent rows could never flip (reads reject the address)
@@ -338,6 +358,92 @@ impl DisturbanceModel for RowHammerModel {
                 *self.acc.entry((bank.0, v as u32)).or_insert(0.0) += units * DISTANCE2_WEIGHT;
             }
         }
+    }
+
+    /// Replays the quiet stretch of a round-robin burst over local
+    /// accumulators for the window `min(rows)-2 ..= max(rows)+2`. Per
+    /// activation, exactly as `hammer_direct(…, 1, …)` does: the
+    /// aggressor's dose is cleared and its retention clock restarts at
+    /// its sense time, the trial nonce advances once, and one episode
+    /// of units is added to each existing neighbour (±1, then ±2 at
+    /// [`DISTANCE2_WEIGHT`]), one addition at a time so every sum
+    /// rounds as the reference's does. It stops before any sense that
+    /// could flip a bit: a dose of at least one unit, or an idle time
+    /// past the row's shortest retention time.
+    fn hammer_round_robin(
+        &mut self,
+        bank: BankId,
+        rows: &[RowAddr],
+        start: usize,
+        acts: u64,
+        now: Picos,
+        (t_on, t_off): (Picos, Picos),
+    ) -> u64 {
+        let (Some(&first), Some(&last)) = (rows.iter().min(), rows.iter().max()) else {
+            return 0;
+        };
+        if last.0 >= self.rows_per_bank {
+            return 0;
+        }
+        let lo = first.0.saturating_sub(2);
+        let hi = last.0.saturating_add(2).min(self.rows_per_bank - 1);
+        let width = (hi - lo + 1) as usize;
+        if width > ROUND_ROBIN_MAX_WINDOW {
+            return 0;
+        }
+        let units = self.episode_units(1, t_on, t_off);
+        let units2 = units * DISTANCE2_WEIGHT;
+        // Window state: dose (`None` = no accumulator entry), retention
+        // clock, and shortest retention time of each aggressor.
+        let mut dose: Vec<Option<f64>> =
+            (lo..=hi).map(|r| self.acc.get(&(bank.0, r)).copied()).collect();
+        let mut restored: Vec<Option<Picos>> = vec![None; width];
+        let mut retention = vec![f64::INFINITY; width];
+        let slots: Vec<usize> = rows.iter().map(|r| (r.0 - lo) as usize).collect();
+        for (&row, &i) in rows.iter().zip(&slots) {
+            restored[i] = self.last_restore.get(&(bank.0, row.0)).copied();
+            retention[i] = self.min_retention(bank, row);
+        }
+        let step = t_on + t_off;
+        let mut pos = start % rows.len();
+        let mut at = now;
+        let mut done = 0;
+        while done < acts {
+            let i = slots[pos];
+            let idle = at.saturating_sub(restored[i].unwrap_or(at));
+            if dose[i].unwrap_or(0.0) >= 1.0 || idle as f64 > retention[i] {
+                break;
+            }
+            dose[i] = None;
+            restored[i] = Some(at);
+            // The window is clamped to existing rows, so in-window
+            // neighbours are exactly the ones `on_hammer` doses.
+            let r = i as i64;
+            for (d, u) in [(-1, units), (1, units), (-2, units2), (2, units2)] {
+                if let Some(slot) = usize::try_from(r + d).ok().and_then(|v| dose.get_mut(v)) {
+                    *slot = Some(slot.unwrap_or(0.0) + u);
+                }
+            }
+            at += step;
+            done += 1;
+            pos = if pos + 1 == rows.len() { 0 } else { pos + 1 };
+        }
+        if done == 0 {
+            return 0;
+        }
+        for (row, slot) in (lo..=hi).zip(&dose) {
+            match slot {
+                Some(v) => self.acc.insert((bank.0, row), *v),
+                None => self.acc.remove(&(bank.0, row)),
+            };
+        }
+        for &i in &slots {
+            if let Some(t) = restored[i] {
+                self.last_restore.insert((bank.0, lo + i as u32), t);
+            }
+        }
+        self.trial_nonce = self.trial_nonce.wrapping_add(done);
+        done
     }
 
     fn flips_on_activate(

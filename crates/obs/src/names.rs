@@ -65,6 +65,8 @@ pub const SOFTMC_ISSUE_NOP_NS: &str = "softmc.issue.nop.ns";
 pub const DRAM_FLIP: &str = "dram.flip";
 /// Hammer episodes delivered to the fault model.
 pub const DRAM_HAMMER_EPISODES: &str = "dram.hammer.episodes";
+/// Activations requested through `DramModule::hammer_round_robin`.
+pub const DRAM_HAMMER_ROUND_ROBIN_ACTS: &str = "dram.hammer_round_robin.acts";
 /// Dangling episodes flushed after a program's final PRE.
 pub const DRAM_HAMMER_FLUSHED: &str = "dram.hammer.flushed";
 /// Full-row writes through the direct interface.
@@ -160,6 +162,11 @@ pub const DEFENSE_VICTIM_REFRESH: &str = "defense.victim_refresh";
 pub const DEFENSE_THROTTLE: &str = "defense.throttle";
 /// Cumulative throttle delay in picoseconds.
 pub const DEFENSE_THROTTLE_PS: &str = "defense.throttle_ps";
+/// Span: one `DefenseSim` attack run (fields: defense, pairs,
+/// activations, flushes).
+pub const DEFENSE_SIM_RUN: &str = "defense.sim.run";
+/// Deferred activation runs `DefenseSim` flushed into the module.
+pub const DEFENSE_SIM_FLUSHES: &str = "defense.sim.flushes";
 
 /// Span: one reproduction target.
 pub const BENCH_TARGET: &str = "bench.target";
@@ -303,6 +310,7 @@ pub fn all() -> &'static [&'static str] {
         SOFTMC_ISSUE_NOP_NS,
         DRAM_FLIP,
         DRAM_HAMMER_EPISODES,
+        DRAM_HAMMER_ROUND_ROBIN_ACTS,
         DRAM_HAMMER_FLUSHED,
         DRAM_ROW_WRITE,
         DRAM_ROW_READ,
@@ -346,6 +354,8 @@ pub fn all() -> &'static [&'static str] {
         DEFENSE_VICTIM_REFRESH,
         DEFENSE_THROTTLE,
         DEFENSE_THROTTLE_PS,
+        DEFENSE_SIM_RUN,
+        DEFENSE_SIM_FLUSHES,
         BENCH_TARGET,
         BENCH_WORKLOAD,
         FLEET_DISPATCH,

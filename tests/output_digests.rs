@@ -7,7 +7,11 @@ use rh_bench::runners::{run_target, RunConfig};
 use rh_core::{fnv1a64, Scale};
 
 /// (target, digest of `run_target(target, smoke).data.to_string()`).
-const PINS: &[(&str, &str)] = &[("memctl", "c6af820502212675")];
+const PINS: &[(&str, &str)] = &[
+    ("memctl", "c6af820502212675"),
+    ("defense-matrix", "f24e33818d76ae68"),
+    ("trrespass", "11bdf733221df53a"),
+];
 
 #[test]
 fn smoke_outputs_match_their_pinned_digests() {
