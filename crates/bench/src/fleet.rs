@@ -12,7 +12,7 @@ use rh_core::fleet::{
     BreakerPolicy, BreakerState, CircuitBreaker, CommitOutcome, FailOutcome, FleetPolicy,
     FleetReport, JobTable,
 };
-use rh_core::{CharError, ModuleStatus, ProgressTracker, RetryPolicy, Scale};
+use rh_core::{CharError, ProgressTracker, RetryPolicy, Scale};
 use rh_dram::Manufacturer;
 use rh_obs::faultnet::InstalledPlan;
 use rh_obs::names;
@@ -220,7 +220,7 @@ pub fn run_fleet_local(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
             }
         }
     }
-    Ok(table.report())
+    Ok(table.into_report())
 }
 
 /// Spawns one local `repro serve` child and parses its announced
@@ -572,6 +572,47 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
         .filter(|plan| !plan.is_inert())
         .map(InstalledPlan::new);
 
+    // The table (and any checkpoint it resumes) comes first, so an
+    // unusable checkpoint fails the run before any worker is spawned.
+    let mut table = JobTable::new(FleetPolicy {
+        retry: cfg.retry.clone(),
+        lease_ms: cfg.lease_ms,
+        suspect_after_misses: cfg.suspect_after_misses,
+    });
+    // Per-incarnation lease-ID nonce: a resumed coordinator must not
+    // mint IDs its dead predecessor already used, or a worker still
+    // holding one of those jobs would answer the new lease with the
+    // old job's result (see `JobTable::set_lease_base`). The low bits
+    // stay free for the grant counter.
+    let nonce = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| u64::from(d.subsec_nanos()) ^ (d.as_secs() << 20))
+        .unwrap_or(1);
+    table.set_lease_base((nonce & 0xffff_ffff) << 24);
+    // Replay tokens minted at commit embed the run's fault posture.
+    table.set_replay_context(
+        cfg.net_fault_name.clone().unwrap_or_else(|| "none".to_string()),
+        cfg.net_fault.as_ref().filter(|plan| !plan.is_inert()).map_or(0, |plan| plan.seed),
+    );
+    let jobs = fleet_jobs(cfg);
+    let ids: Vec<String> = jobs.iter().map(|(id, _)| id.clone()).collect();
+    for (id, payload) in jobs {
+        table.add_job(id, payload);
+    }
+    if let Some(path) = &cfg.checkpoint {
+        table.with_checkpoint(path.clone())?;
+    }
+    if let Some(progress) = &cfg.progress {
+        progress.add_modules(table.total());
+        // Checkpoint-resumed modules count as already done, each with
+        // the status it was recorded under.
+        for status in ids.iter().filter_map(|id| table.status(id)) {
+            if !matches!(status, rh_core::ModuleStatus::Cancelled { .. }) {
+                progress.record_status(&status);
+            }
+        }
+    }
+
     // Tie breaker jitter to the run seed so cooldown schedules are
     // replayable, unless the caller pinned a seed explicitly.
     let breaker_policy = BreakerPolicy {
@@ -607,40 +648,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
     let trace_id = root.ids().trace_id;
     if let Some(c) = capture.as_mut() {
         c.trace_id = trace_id;
-    }
-
-    let mut table = JobTable::new(FleetPolicy {
-        retry: cfg.retry.clone(),
-        lease_ms: cfg.lease_ms,
-        suspect_after_misses: cfg.suspect_after_misses,
-    });
-    // Per-incarnation lease-ID nonce: a resumed coordinator must not
-    // mint IDs its dead predecessor already used, or a worker still
-    // holding one of those jobs would answer the new lease with the
-    // old job's result (see `JobTable::set_lease_base`). The low bits
-    // stay free for the grant counter.
-    let nonce = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| u64::from(d.subsec_nanos()) ^ (d.as_secs() << 20))
-        .unwrap_or(1);
-    table.set_lease_base((nonce & 0xffff_ffff) << 24);
-    // Replay tokens minted at commit embed the run's fault posture.
-    table.set_replay_context(
-        cfg.net_fault_name.clone().unwrap_or_else(|| "none".to_string()),
-        cfg.net_fault.as_ref().filter(|plan| !plan.is_inert()).map_or(0, |plan| plan.seed),
-    );
-    for (id, payload) in fleet_jobs(cfg) {
-        table.add_job(id, payload);
-    }
-    if let Some(path) = &cfg.checkpoint {
-        table.with_checkpoint(path.clone())?;
-    }
-    if let Some(progress) = &cfg.progress {
-        progress.add_modules(table.total());
-        // Checkpoint-resumed modules count as already done.
-        for _ in 0..table.done_count() {
-            progress.record_status(&ModuleStatus::Succeeded);
-        }
     }
 
     // Event-stream ingestion and metrics federation ride beside the
@@ -680,11 +687,10 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
             lease_worker.remove(&expired.lease_id);
             if !expired.quarantined {
                 orphans.insert(expired.lease_id, expired.worker.clone());
-            } else if let Some(progress) = &cfg.progress {
-                progress.record_status(&ModuleStatus::Quarantined {
-                    attempts: cfg.retry.max_attempts,
-                    error: "lease expired; attempt budget exhausted".to_string(),
-                });
+            } else if let (Some(progress), Some(status)) =
+                (&cfg.progress, table.status(&expired.module_id))
+            {
+                progress.record_status(&status);
             }
         }
 
@@ -778,18 +784,15 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
                     if let (Some(journal), Some(ev)) = (journal.as_mut(), event.as_ref()) {
                         journal.ingest_one(&addr, ev);
                     }
-                    let attempts = table.lease_generation(lease_id).unwrap_or(1);
                     if table.commit(lease_id, result) == CommitOutcome::Committed {
                         if let (Some(c), Some(trace)) = (capture.as_ref(), trace.as_ref()) {
                             c.write_segment(lease_id, &addr, trace, bracket, false);
                         }
                         lease_worker.remove(&lease_id);
-                        if let Some(progress) = &cfg.progress {
-                            progress.record_status(&if attempts <= 1 {
-                                ModuleStatus::Succeeded
-                            } else {
-                                ModuleStatus::Recovered { attempts }
-                            });
+                        if let (Some(progress), Some(status)) =
+                            (&cfg.progress, table.lease_status(lease_id))
+                        {
+                            progress.record_status(&status);
                         }
                     }
                 }
@@ -801,11 +804,10 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
                     if table.fail(lease_id, &error, transient, now_ms(origin))
                         == FailOutcome::Quarantined
                     {
-                        if let Some(progress) = &cfg.progress {
-                            progress.record_status(&ModuleStatus::Quarantined {
-                                attempts: cfg.retry.max_attempts,
-                                error,
-                            });
+                        if let (Some(progress), Some(status)) =
+                            (&cfg.progress, table.lease_status(lease_id))
+                        {
+                            progress.record_status(&status);
                         }
                     }
                 }
@@ -906,8 +908,10 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
             );
         }
         if let Some(progress) = &cfg.progress {
-            for (_, _, _) in table.active_leases() {
-                progress.record_status(&ModuleStatus::Cancelled { attempts: 1 });
+            for (lease_id, _, _) in table.active_leases() {
+                if let Some(status) = table.lease_status(lease_id) {
+                    progress.record_status(&status);
+                }
             }
         }
     }
@@ -936,7 +940,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
     // that absorbed a death and still committed everything is clean.
     let workers_lost = workers.iter().filter(|w| w.breaker.is_evicted()).count() as u64;
     outcome.map(|()| {
-        let mut report = table.report();
+        let mut report = table.into_report();
         report.mark_degraded(workers_lost);
         report
     })
@@ -946,19 +950,9 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
 #[must_use]
 pub fn fleet_text(report: &FleetReport) -> String {
     let mut s = format!("fleet: {}\n", report.summary_line());
-    for outcome in report.outcomes.iter().filter(|o| o.status != "committed") {
-        s.push_str(&format!(
-            "  {} {} after {} attempt(s)\n",
-            outcome.status, outcome.id, outcome.attempts
-        ));
-        for error in &outcome.errors {
-            s.push_str(&format!("    - {error}\n"));
-        }
-    }
-    for outcome in &report.outcomes {
-        if let Some(token) = &outcome.replay_token {
-            s.push_str(&format!("  replay {} {token}\n", outcome.id));
-        }
+    s.push_str(&crate::runners::non_success_lines(&report.campaign));
+    for (id, token) in &report.replay_tokens {
+        s.push_str(&format!("  replay {id} {token}\n"));
     }
     s
 }
@@ -996,6 +990,51 @@ mod tests {
             serde_json::to_string(&b.to_json_value()).unwrap(),
             "local oracle must be bit-stable"
         );
+    }
+
+    #[test]
+    fn resumed_modules_report_their_checkpointed_status_to_progress() {
+        use rh_core::{FleetPolicy, ModuleStatus};
+        let dir = std::env::temp_dir().join(format!("rh-fleet-resume-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("fleet.json");
+        let _ = std::fs::remove_file(&ckpt);
+        let base = FleetConfig { seed: 5, ..FleetConfig::default() };
+        let ids: Vec<String> = fleet_jobs(&base).into_iter().map(|(id, _)| id).collect();
+
+        // A previous run committed the first module and quarantined the
+        // second on its first (non-transient) failure.
+        let mut table = JobTable::new(FleetPolicy::default());
+        for id in &ids {
+            table.add_job(id.as_str(), Value::Null);
+        }
+        table.with_checkpoint(&ckpt).unwrap();
+        let g = table.grant(&ids[0], "w", 0).unwrap();
+        assert_eq!(table.commit(g.lease_id, Value::Bool(true)), CommitOutcome::Committed);
+        let g = table.grant(&ids[1], "w", 0).unwrap();
+        assert_eq!(table.fail(g.lease_id, "module unresponsive", false, 0), FailOutcome::Quarantined);
+
+        // Resume against a worker that refuses every connection and is
+        // evicted on its first failure: only the resumed modules finish.
+        let closed = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let progress = Arc::new(ProgressTracker::new());
+        let cfg = FleetConfig {
+            workers: vec![closed.to_string()],
+            checkpoint: Some(ckpt.clone()),
+            progress: Some(Arc::clone(&progress)),
+            poll_ms: 10,
+            breaker: BreakerPolicy { failure_threshold: 1, max_trips: 1, ..BreakerPolicy::default() },
+            ..base
+        };
+        let report = run_fleet(&cfg).unwrap();
+        assert!(report.degraded, "{}", report.summary_line());
+        let snap = progress.snapshot();
+        assert_eq!((snap.succeeded, snap.quarantined, snap.recovered), (1, 1, 0), "{snap:?}");
+        let statuses: Vec<_> = report.campaign.outcomes.iter().map(|o| &o.status).collect();
+        assert_eq!(statuses[0], &ModuleStatus::Succeeded);
+        assert!(matches!(statuses[1], ModuleStatus::Quarantined { attempts: 1, .. }));
+        assert!(statuses[2..].iter().all(|s| matches!(s, ModuleStatus::Cancelled { .. })));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -425,8 +425,13 @@ fn campaign_runner(cfg: &RunConfig, target: &str) -> CampaignRunner {
 
 /// Renders the resilience footer appended to campaign-backed targets.
 fn campaign_text(report: &CampaignReport) -> String {
+    format!("campaign: {}\n{}", report.summary_line(), non_success_lines(report))
+}
+
+/// One line per quarantined, timed-out or cancelled module.
+pub(crate) fn non_success_lines(report: &CampaignReport) -> String {
     use rh_core::ModuleStatus;
-    let mut s = format!("campaign: {}\n", report.summary_line());
+    let mut s = String::new();
     for q in report.quarantined_modules() {
         match &q.status {
             ModuleStatus::Quarantined { attempts, error } => {

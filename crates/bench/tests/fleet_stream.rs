@@ -149,7 +149,7 @@ fn journaled_chaos_fleet_is_exactly_once_and_bit_identical() {
 
     let report = fleet.join().expect("fleet thread").expect("fleet survives kill + chaos");
     assert!(report.is_clean(), "fleet not clean: {}", report.summary_line());
-    assert_eq!(report.committed, 4);
+    assert_eq!(report.results.len(), 4);
 
     // --- Results: bit-identical to the fault-free oracle. ---
     let oracle = run_fleet_local(&FleetConfig {
@@ -201,9 +201,9 @@ fn journaled_chaos_fleet_is_exactly_once_and_bit_identical() {
             "module {module} must journal exactly one committed event:\n{text}"
         );
     }
-    assert_eq!(committed_leases.len(), report.committed, "one committed lease per job");
+    assert_eq!(committed_leases.len(), report.results.len(), "one committed lease per job");
     assert!(
-        analysis.latency.samples >= report.committed,
+        analysis.latency.samples >= report.results.len(),
         "every committed lease pairs started -> committed"
     );
 

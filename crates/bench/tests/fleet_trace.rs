@@ -7,7 +7,7 @@
 //! single-process to the identical bits.
 
 use rh_bench::{execute_payload, job_payload, run_fleet, FleetConfig};
-use rh_core::{fnv1a64, ReplayToken, Scale};
+use rh_core::{fnv1a64, ModuleStatus, ReplayToken, Scale};
 use rh_dram::Manufacturer;
 use rh_obs::analyze::analyze_fleet_dir;
 use rh_softmc::CancelToken;
@@ -72,18 +72,18 @@ fn traced_fleet_run_stitches_to_one_tree_and_replay_tokens_reproduce_bits() {
     };
     let report = run_fleet(&cfg).expect("traced fleet run completes");
     assert!(report.is_clean(), "fleet not clean: {}", report.summary_line());
-    assert_eq!(report.committed, 4);
+    assert_eq!(report.results.len(), 4);
 
     // --- Stitch: one causal tree across three processes. ---
     let stitch = analyze_fleet_dir(&dir).unwrap_or_else(|e| panic!("stitch: {e}"));
     assert_eq!(stitch.roots.len(), 1, "exactly one stitched root");
     assert_eq!(stitch.roots[0].name, "fleet.run");
     assert_eq!(
-        stitch.job_spans as usize, report.committed,
+        stitch.job_spans as usize, report.results.len(),
         "one worker.job span per committed job"
     );
     // coordinator.jsonl + one shipped segment per committed job.
-    assert_eq!(stitch.segments.len(), 1 + report.committed);
+    assert_eq!(stitch.segments.len(), 1 + report.results.len());
     // A fault-free run strands nothing.
     assert!(stitch.orphans.is_empty(), "unexpected orphan spans");
     assert_eq!(stitch.orphan_dispatches, 0);
@@ -96,7 +96,7 @@ fn traced_fleet_run_stitches_to_one_tree_and_replay_tokens_reproduce_bits() {
         .flat_map(|d| d.children.iter())
         .filter(|c| c.name == "worker.job")
         .collect();
-    assert_eq!(jobs.len(), report.committed, "parent links for every committed job");
+    assert_eq!(jobs.len(), report.results.len(), "parent links for every committed job");
     assert!(
         jobs.iter().all(|j| !j.children.is_empty()),
         "worker-side kernel spans must stitch under their job span"
@@ -104,14 +104,20 @@ fn traced_fleet_run_stitches_to_one_tree_and_replay_tokens_reproduce_bits() {
 
     // --- Replay: every committed job carries a token; one of them
     // re-executes single-process to the identical bits. ---
-    let committed: Vec<_> =
-        report.outcomes.iter().filter(|o| o.status == "committed").collect();
-    assert_eq!(committed.len(), report.committed);
-    assert!(
-        committed.iter().all(|o| o.replay_token.is_some()),
+    let committed: Vec<_> = report
+        .campaign
+        .outcomes
+        .iter()
+        .filter(|o| matches!(o.status, ModuleStatus::Succeeded | ModuleStatus::Recovered { .. }))
+        .collect();
+    assert_eq!(committed.len(), report.results.len());
+    let tokened: Vec<&str> = report.replay_tokens.iter().map(|(id, _)| id.as_str()).collect();
+    assert_eq!(
+        tokened,
+        committed.iter().map(|o| o.id.as_str()).collect::<Vec<_>>(),
         "every committed job is stamped with a replay token"
     );
-    let token_str = committed[0].replay_token.as_deref().expect("token present");
+    let token_str = report.replay_tokens[0].1.as_str();
     let token = ReplayToken::parse(token_str).unwrap_or_else(|e| panic!("token parse: {e}"));
     assert_ne!(token.trace_id, 0, "a traced run must stamp the trace into the token");
     let mfr = Manufacturer::ALL

@@ -172,7 +172,7 @@ fn seeded_flaky_link_with_worker_kill_matches_fault_free_oracle() {
 
     let report = fleet.join().expect("fleet thread").expect("fleet survives kill + chaos");
     assert!(report.is_clean(), "fleet not clean: {}", report.summary_line());
-    assert_eq!(report.committed, 4);
+    assert_eq!(report.results.len(), 4);
 
     // Exactly one result per module, bit-identical to the fault-free
     // oracle: chaos may reorder and retry, never corrupt.
@@ -229,7 +229,7 @@ fn permanently_dead_worker_completes_degraded_instead_of_wedging() {
     );
 
     assert!(report.degraded, "report must be flagged degraded: {}", report.summary_line());
-    assert_eq!(report.committed, 0, "nothing can commit without workers");
+    assert_eq!(report.results.len(), 0, "nothing can commit without workers");
     assert_eq!(report.workers_lost, 1);
     assert!(!report.is_clean(), "a degraded report is not clean");
     assert!(

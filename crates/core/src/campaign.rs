@@ -13,26 +13,25 @@
 //! so a recovered module's results are bit-for-bit identical to a
 //! fault-free run.
 //!
-//! Campaigns can persist a JSON checkpoint after each module completes;
-//! resuming from it skips finished modules and reproduces the same
-//! final report.
+//! The runner is a local driver of a [`JobTable`]: the table decides
+//! retry vs quarantine, the backoff, and what a checkpoint holds, exactly
+//! as it does for a fleet run. Campaigns can persist a JSON checkpoint
+//! after each module completes; resuming from it skips finished modules
+//! and reproduces the same final report.
 
 use crate::error::CharError;
 use crate::executor::{self, ExecutorConfig};
 use crate::experiments::panic_detail;
+use crate::fleet::{fnv1a64, CommitOutcome, FailOutcome, FleetPolicy, FleetReport, JobTable};
 use crate::progress::ProgressTracker;
 use crate::Characterizer;
+use rh_obs::names;
 use rh_softmc::CancelToken;
 use serde::{Deserialize, Serialize, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
-use rh_obs::names;
-
-/// Current checkpoint schema version. Version 1 (PR 1) lacked the
-/// `TimedOut` status; its entries still decode, so we accept any
-/// version ≤ this and reject anything newer with a clear error.
-const CHECKPOINT_VERSION: u32 = 2;
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Bounded-retry policy with deterministic exponential backoff.
 ///
@@ -77,7 +76,8 @@ impl RetryPolicy {
             .saturating_mul(1u64 << shift)
             .min(self.max_backoff_ms);
         let jitter_frac = self.jitter_frac.clamp(0.0, 1.0);
-        let z = splitmix(self.seed ^ fnv1a(module_id) ^ u64::from(retry).rotate_left(40));
+        let z =
+            splitmix(self.seed ^ fnv1a64(module_id.as_bytes()) ^ u64::from(retry).rotate_left(40));
         let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
         let factor = 1.0 + jitter_frac * (2.0 * unit - 1.0);
         (exp as f64 * factor).round() as u64
@@ -89,15 +89,6 @@ fn splitmix(seed: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// How one module's characterization ended.
@@ -176,7 +167,7 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    fn from_outcomes(outcomes: Vec<ModuleOutcome>) -> Self {
+    pub(crate) fn from_outcomes(outcomes: Vec<ModuleOutcome>) -> Self {
         let count = |pred: fn(&ModuleStatus) -> bool| {
             outcomes.iter().filter(|o| pred(&o.status)).count()
         };
@@ -269,20 +260,6 @@ impl<'a> ModuleTask<'a> {
 /// A stable module id from the identity that defines a bench.
 pub fn module_id(mfr: rh_dram::Manufacturer, module_seed: u64) -> String {
     format!("{mfr:?}-{module_seed:016x}")
-}
-
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct CheckpointEntry {
-    id: String,
-    outcome: ModuleOutcome,
-    /// The serialized result for successful modules.
-    result: Option<Value>,
-}
-
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct Checkpoint {
-    version: u32,
-    entries: Vec<CheckpointEntry>,
 }
 
 /// Runs module tasks on the supervised worker pool with bounded retry,
@@ -382,17 +359,20 @@ impl CampaignRunner {
         T: Send + Serialize + Deserialize,
         F: Fn(&mut Characterizer) -> Result<T, CharError> + Sync,
     {
+        let mut table = JobTable::new(FleetPolicy {
+            retry: self.policy.clone(),
+            // The watchdog, not a lease, bounds a local attempt.
+            lease_ms: u64::MAX,
+            ..FleetPolicy::default()
+        });
+        for task in &tasks {
+            table.add_job(task.id.as_str(), Value::Null);
+        }
         if let Some(path) = &self.checkpoint {
-            clean_stale_tmp(path);
+            table.with_checkpoint(path.as_path())?;
         }
-        let prior = match &self.checkpoint {
-            Some(path) => load_checkpoint(path)?,
-            None => Vec::new(),
-        };
-        if !prior.is_empty() {
-            rh_obs::event!(names::CAMPAIGN_CHECKPOINT_LOADED, entries = prior.len());
-        }
-        let store = Mutex::new(prior);
+        let table = Mutex::new(table);
+        let origin = Instant::now();
 
         if let Some(progress) = &self.progress {
             progress.add_modules(tasks.len());
@@ -405,152 +385,121 @@ impl CampaignRunner {
         let deadline_ms =
             self.executor.module_deadline.map_or(0, |d| d.as_millis() as u64);
 
-        let slots: Vec<(ModuleOutcome, Option<Value>)> = executor::supervise(
+        // Every arm returns the status the table holds once it has
+        // acted, so whichever of them the executor lets decide a slot,
+        // the commit hook sees what the report will say.
+        executor::supervise(
             &self.executor,
             &campaign_token,
             tasks.len(),
-            // Normal path: resume from the checkpoint or run the
-            // bounded-retry loop under the task's own token.
+            // Normal path: skip a module the checkpoint already holds,
+            // otherwise run its attempts under the task's own token.
             |idx, token| {
                 let task = &tasks[idx];
                 let _running = self.progress.as_ref().map(ProgressTracker::running_guard);
-                let resumed = {
-                    let guard = store.lock().unwrap_or_else(|e| e.into_inner());
-                    guard.iter().find(|e| e.id == task.id).cloned()
-                };
-                if let Some(entry) = resumed {
-                    rh_obs::event!(names::CAMPAIGN_RESUME_SKIP, module = entry.id.as_str());
-                    return (entry.outcome, entry.result);
+                let status = lock(&table).status(&task.id);
+                match status {
+                    Some(ModuleStatus::Cancelled { .. }) => {
+                        self.run_one(&table, task, &f, token, origin)
+                    }
+                    _ => {
+                        rh_obs::event!(names::CAMPAIGN_RESUME_SKIP, module = task.id.as_str());
+                        status
+                    }
                 }
-                self.run_one(task, &f, token)
             },
             // Watchdog path: the module overran its deadline.
             |idx, elapsed| {
                 let task = &tasks[idx];
-                rh_obs::counter(names::CAMPAIGN_TIMEOUT, 1);
-                rh_obs::event!(
-                    names::CAMPAIGN_TIMEOUT,
-                    module = task.id.as_str(),
-                    elapsed_ms = elapsed.as_millis() as u64,
-                    deadline_ms = deadline_ms,
-                );
-                let outcome = ModuleOutcome {
-                    id: task.id.clone(),
-                    status: ModuleStatus::TimedOut {
-                        elapsed_ms: elapsed.as_millis() as u64,
-                        deadline_ms,
-                    },
-                    errors: Vec::new(),
-                    backoffs_ms: Vec::new(),
-                };
-                (outcome, None)
+                let elapsed_ms = elapsed.as_millis() as u64;
+                let mut table = lock(&table);
+                if table.time_out(&task.id, elapsed_ms, deadline_ms) {
+                    rh_obs::counter(names::CAMPAIGN_TIMEOUT, 1);
+                    rh_obs::event!(
+                        names::CAMPAIGN_TIMEOUT,
+                        module = task.id.as_str(),
+                        elapsed_ms = elapsed_ms,
+                        deadline_ms = deadline_ms,
+                    );
+                }
+                table.status(&task.id)
             },
             // Cancelled while still queued: never ran at all.
             |idx| {
                 let task = &tasks[idx];
-                rh_obs::counter(names::CAMPAIGN_CANCELLED, 1);
-                rh_obs::event!(
-                    names::CAMPAIGN_CANCELLED,
-                    module = task.id.as_str(),
-                    ran = false,
-                );
-                let outcome = ModuleOutcome {
-                    id: task.id.clone(),
-                    status: ModuleStatus::Cancelled { attempts: 0 },
-                    errors: Vec::new(),
-                    backoffs_ms: Vec::new(),
-                };
-                (outcome, None)
+                let status = lock(&table).status(&task.id);
+                if matches!(status, Some(ModuleStatus::Cancelled { .. })) {
+                    rh_obs::counter(names::CAMPAIGN_CANCELLED, 1);
+                    rh_obs::event!(
+                        names::CAMPAIGN_CANCELLED,
+                        module = task.id.as_str(),
+                        ran = false,
+                    );
+                }
+                status
             },
             // Commit hook: runs exactly once per module on the deciding
-            // thread — persist the checkpoint and trip fail-fast.
-            |_idx, (outcome, value): &(ModuleOutcome, Option<Value>)| {
-                // Cancelled modules are deliberately *not* persisted:
-                // `--resume` must re-run exactly the unfinished work.
-                let persistable = !matches!(outcome.status, ModuleStatus::Cancelled { .. });
-                if persistable && self.checkpoint.is_some() {
-                    let mut guard = store.lock().unwrap_or_else(|e| e.into_inner());
-                    if !guard.iter().any(|e| e.id == outcome.id) {
-                        guard.push(CheckpointEntry {
-                            id: outcome.id.clone(),
-                            outcome: outcome.clone(),
-                            result: value.clone(),
-                        });
-                        if let Some(path) = &self.checkpoint {
-                            // Persist eagerly; a failed write only
-                            // degrades resumability, so don't kill
-                            // the in-flight campaign over it.
-                            let saved = save_checkpoint(path, &guard).is_ok();
-                            rh_obs::event!(
-                                names::CAMPAIGN_CHECKPOINT_SAVED,
-                                entries = guard.len(),
-                                ok = saved,
-                            );
-                        }
-                    }
-                }
+            // thread (the table has already persisted the checkpoint).
+            |_idx, status: &Option<ModuleStatus>| {
+                let Some(status) = status else { return };
                 if let Some(progress) = &self.progress {
-                    progress.record_status(&outcome.status);
+                    progress.record_status(status);
                 }
-                if self.fail_fast && !outcome.status.is_success() {
+                if self.fail_fast && !status.is_success() {
                     campaign_token.cancel();
                 }
             },
         );
 
-        let mut outcomes = Vec::with_capacity(slots.len());
-        let mut results = Vec::new();
-        for (outcome, value) in slots {
-            if outcome.status.is_success() {
-                let v = value.ok_or_else(|| CharError::Checkpoint {
-                    detail: format!("checkpoint entry for {} has no result", outcome.id),
-                })?;
-                let t = T::from_json_value(&v).map_err(|e| CharError::Checkpoint {
-                    detail: format!("result for {} does not decode: {e}", outcome.id),
-                })?;
-                results.push((outcome.id.clone(), t));
-            }
-            outcomes.push(outcome);
+        // The executor has joined every worker: the table is final.
+        let table = table.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let FleetReport { results: values, campaign: report, .. } = table.into_report();
+        let mut results = Vec::with_capacity(values.len());
+        for (id, v) in values {
+            let t = T::from_json_value(&v).map_err(|e| CharError::Checkpoint {
+                detail: format!("result for {id} does not decode: {e}"),
+            })?;
+            results.push((id, t));
         }
-        Ok(CampaignOutput { results, report: CampaignReport::from_outcomes(outcomes) })
+        Ok(CampaignOutput { results, report })
     }
 
-    /// The bounded-retry loop for one module. Returns the outcome plus
-    /// the serialized result when successful.
+    /// Runs one module's attempts: grant, run, then commit or fail,
+    /// until the table reaches a verdict or the campaign is cancelled.
+    /// Returns the module's status in the table afterwards.
     fn run_one<T, F>(
         &self,
+        table: &Mutex<JobTable>,
         task: &ModuleTask<'_>,
         f: &F,
         token: &CancelToken,
-    ) -> (ModuleOutcome, Option<Value>)
+        origin: Instant,
+    ) -> Option<ModuleStatus>
     where
         T: Serialize,
         F: Fn(&mut Characterizer) -> Result<T, CharError>,
     {
-        let max_attempts = self.policy.max_attempts.max(1);
+        let now_ms = || origin.elapsed().as_millis() as u64;
         let mut span = rh_obs::span(names::CAMPAIGN_MODULE);
         let _module_timer = rh_obs::timer!(names::CAMPAIGN_MODULE_NS);
         span.set("module", task.id.as_str());
-        let mut errors = Vec::new();
-        let mut backoffs_ms = Vec::new();
-        for attempt in 1..=max_attempts {
-            if token.is_cancelled() {
-                rh_obs::counter(names::CAMPAIGN_CANCELLED, 1);
-                rh_obs::event!(
-                    names::CAMPAIGN_CANCELLED,
-                    module = task.id.as_str(),
-                    ran = true,
-                );
-                span.set("attempts", attempt - 1);
-                span.set("status", "cancelled");
-                let outcome = ModuleOutcome {
-                    id: task.id.clone(),
-                    status: ModuleStatus::Cancelled { attempts: attempt - 1 },
-                    errors,
-                    backoffs_ms,
-                };
-                return (outcome, None);
-            }
+        let mut attempts = 0;
+        let status = loop {
+            let grant = {
+                let mut table = lock(table);
+                if token.is_cancelled() {
+                    rh_obs::counter(names::CAMPAIGN_CANCELLED, 1);
+                    rh_obs::event!(names::CAMPAIGN_CANCELLED, module = task.id.as_str(), ran = true);
+                    break table.status(&task.id);
+                }
+                // Refused only once the watchdog has timed the job out.
+                match table.grant(&task.id, "local", now_ms()) {
+                    Ok(grant) => grant,
+                    Err(_) => break table.status(&task.id),
+                }
+            };
+            let attempt = grant.generation;
+            attempts = attempt;
             let attempt_result = {
                 let mut attempt_span = rh_obs::span(names::CAMPAIGN_ATTEMPT);
                 attempt_span.set("module", task.id.as_str());
@@ -561,171 +510,93 @@ impl CampaignRunner {
                     })
                 })
             };
-            if let Err(e) = &attempt_result {
-                if e.is_cancelled() {
-                    rh_obs::counter(names::CAMPAIGN_CANCELLED, 1);
-                    rh_obs::event!(
-                        names::CAMPAIGN_CANCELLED,
-                        module = task.id.as_str(),
-                        ran = true,
-                        op = e.to_string(),
-                    );
-                    span.set("attempts", attempt);
-                    span.set("status", "cancelled");
-                    let outcome = ModuleOutcome {
-                        id: task.id.clone(),
-                        status: ModuleStatus::Cancelled { attempts: attempt },
-                        errors,
-                        backoffs_ms,
-                    };
-                    return (outcome, None);
-                }
-            }
             let err = match attempt_result {
                 Ok(t) => {
-                    let status = if attempt == 1 {
-                        rh_obs::counter(names::CAMPAIGN_SUCCEEDED, 1);
-                        ModuleStatus::Succeeded
-                    } else {
-                        rh_obs::counter(names::CAMPAIGN_RECOVERED, 1);
-                        rh_obs::event!(
-                            names::CAMPAIGN_RECOVERED,
-                            module = task.id.as_str(),
-                            attempts = attempt,
-                        );
-                        ModuleStatus::Recovered { attempts: attempt }
-                    };
-                    span.set("attempts", attempt);
-                    span.set("status", "success");
-                    let outcome = ModuleOutcome {
-                        id: task.id.clone(),
-                        status,
-                        errors,
-                        backoffs_ms,
-                    };
-                    return (outcome, Some(t.to_json_value()));
+                    let value = t.to_json_value();
+                    let mut table = lock(table);
+                    if table.commit(grant.lease_id, value) == CommitOutcome::Committed {
+                        if attempt == 1 {
+                            rh_obs::counter(names::CAMPAIGN_SUCCEEDED, 1);
+                        } else {
+                            rh_obs::counter(names::CAMPAIGN_RECOVERED, 1);
+                            rh_obs::event!(
+                                names::CAMPAIGN_RECOVERED,
+                                module = task.id.as_str(),
+                                attempts = attempt,
+                            );
+                        }
+                    }
+                    break table.status(&task.id);
                 }
                 Err(e) => e,
             };
-            errors.push(err.to_string());
-            if attempt == max_attempts || !err.is_transient() {
-                rh_obs::counter(names::CAMPAIGN_QUARANTINED, 1);
+            // A cancelled attempt leaves its lease open: the job
+            // reports `Cancelled { attempts }` and is not persisted.
+            if err.is_cancelled() {
+                rh_obs::counter(names::CAMPAIGN_CANCELLED, 1);
                 rh_obs::event!(
-                    names::CAMPAIGN_QUARANTINE_EVENT,
+                    names::CAMPAIGN_CANCELLED,
                     module = task.id.as_str(),
-                    attempts = attempt,
-                    transient = err.is_transient(),
-                    error = err.to_string(),
+                    ran = true,
+                    op = err.to_string(),
                 );
-                span.set("attempts", attempt);
-                span.set("status", "quarantined");
-                let outcome = ModuleOutcome {
-                    id: task.id.clone(),
-                    status: ModuleStatus::Quarantined {
-                        attempts: attempt,
-                        error: err.to_string(),
-                    },
-                    errors,
-                    backoffs_ms,
-                };
-                return (outcome, None);
+                break lock(table).status(&task.id);
             }
-            let backoff = self.policy.backoff_ms(&task.id, attempt);
-            rh_obs::counter(names::CAMPAIGN_RETRIES, 1);
-            rh_obs::event!(
-                names::CAMPAIGN_RETRY_EVENT,
-                module = task.id.as_str(),
-                attempt = attempt,
-                backoff_ms = backoff,
-                error = err.to_string(),
-            );
-            backoffs_ms.push(backoff);
-            if self.wait_backoff {
-                std::thread::sleep(std::time::Duration::from_millis(backoff));
+            let error = err.to_string();
+            let mut table = lock(table);
+            match table.fail(grant.lease_id, &error, err.is_transient(), now_ms()) {
+                FailOutcome::Retrying { backoff_ms } => {
+                    drop(table);
+                    rh_obs::counter(names::CAMPAIGN_RETRIES, 1);
+                    rh_obs::event!(
+                        names::CAMPAIGN_RETRY_EVENT,
+                        module = task.id.as_str(),
+                        attempt = attempt,
+                        backoff_ms = backoff_ms,
+                        error = error,
+                    );
+                    if self.wait_backoff {
+                        std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
+                    }
+                }
+                FailOutcome::Quarantined => {
+                    rh_obs::counter(names::CAMPAIGN_QUARANTINED, 1);
+                    rh_obs::event!(
+                        names::CAMPAIGN_QUARANTINE_EVENT,
+                        module = task.id.as_str(),
+                        attempts = attempt,
+                        transient = err.is_transient(),
+                        error = error,
+                    );
+                    break table.status(&task.id);
+                }
+                FailOutcome::Stale => break table.status(&task.id),
             }
-        }
-        unreachable!("retry loop always returns from its final attempt")
+        };
+        span.set("attempts", attempts);
+        span.set(
+            "status",
+            match &status {
+                Some(ModuleStatus::Succeeded | ModuleStatus::Recovered { .. }) => "success",
+                Some(ModuleStatus::Quarantined { .. }) => "quarantined",
+                Some(ModuleStatus::TimedOut { .. }) => "timed_out",
+                Some(ModuleStatus::Cancelled { .. }) | None => "cancelled",
+            },
+        );
+        status
     }
 }
 
-/// Removes a stale `*.tmp` left behind by a crash between
-/// `save_checkpoint`'s write and rename. The rename is atomic, so the
-/// real checkpoint is either the previous complete save or the new
-/// one — the orphan is always safe to delete.
-fn clean_stale_tmp(path: &Path) {
-    let tmp = path.with_extension("tmp");
-    if tmp.exists() && std::fs::remove_file(&tmp).is_ok() {
-        rh_obs::event!(names::CAMPAIGN_CHECKPOINT_STALE_TMP, path = tmp.display().to_string());
-    }
-}
-
-/// Loads a checkpoint and returns its entry count — the "is this file
-/// still usable?" probe shutdown paths and the soak harness use.
-///
-/// # Errors
-///
-/// [`CharError::Checkpoint`] for unreadable, corrupt, or
-/// future-versioned files. A missing file is `Ok(0)` (a campaign that
-/// never saved is trivially resumable).
-pub fn verify_checkpoint(path: &Path) -> Result<usize, CharError> {
-    load_checkpoint(path).map(|entries| entries.len())
-}
-
-fn load_checkpoint(path: &Path) -> Result<Vec<CheckpointEntry>, CharError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => {
-            return Err(CharError::Checkpoint { detail: format!("read {}: {e}", path.display()) })
-        }
-    };
-    let value: Value = serde_json::from_str(&text).map_err(|e| CharError::Checkpoint {
-        detail: format!("parse {}: {e}", path.display()),
-    })?;
-    // Check the version *before* decoding the whole structure, so a
-    // checkpoint from a newer schema fails with "written by version 3,
-    // this build reads ≤ 2" instead of an opaque serde error about
-    // whichever field changed.
-    match value.field("version").as_u64() {
-        Some(v) if v > u64::from(CHECKPOINT_VERSION) => {
-            return Err(CharError::Checkpoint {
-                detail: format!(
-                    "{} was written by checkpoint schema version {v}; this build reads \
-                     versions <= {CHECKPOINT_VERSION} — rerun without --resume or upgrade",
-                    path.display()
-                ),
-            });
-        }
-        Some(_) => {}
-        None => {
-            return Err(CharError::Checkpoint {
-                detail: format!("{} has no checkpoint version field", path.display()),
-            });
-        }
-    }
-    let cp = Checkpoint::from_json_value(&value).map_err(|e| CharError::Checkpoint {
-        detail: format!("decode {}: {e}", path.display()),
-    })?;
-    Ok(cp.entries)
-}
-
-fn save_checkpoint(path: &Path, entries: &[CheckpointEntry]) -> Result<(), CharError> {
-    let cp = Checkpoint { version: CHECKPOINT_VERSION, entries: entries.to_vec() };
-    let bytes = serde_json::to_vec_pretty(&cp.to_json_value()).map_err(|e| {
-        CharError::Checkpoint { detail: format!("serialize checkpoint: {e}") }
-    })?;
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes).map_err(|e| CharError::Checkpoint {
-        detail: format!("write {}: {e}", tmp.display()),
-    })?;
-    std::fs::rename(&tmp, path).map_err(|e| CharError::Checkpoint {
-        detail: format!("rename {} -> {}: {e}", tmp.display(), path.display()),
-    })
+/// Recovers from a poisoned lock: a panicking attempt is caught before
+/// it can unwind through the table, so its state stays consistent.
+fn lock(table: &Mutex<JobTable>) -> MutexGuard<'_, JobTable> {
+    table.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::verify_checkpoint;
     use crate::Scale;
     use rh_dram::Manufacturer;
     use rh_softmc::TestBench;
@@ -921,26 +792,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CharError::Checkpoint { .. }), "{err}");
         assert!(verify_checkpoint(&path).is_err());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn future_checkpoint_version_is_rejected_with_clear_error() {
-        let dir = std::env::temp_dir().join("rh-campaign-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("future-{}.json", std::process::id()));
-        std::fs::write(&path, b"{\"version\": 99, \"entries\": []}").unwrap();
-        let err = CampaignRunner::new()
-            .with_checkpoint(&path)
-            .run::<u64, _>(vec![smoke_task(46)], |ch| Ok(ch.bench().module_seed()))
-            .unwrap_err();
-        match &err {
-            CharError::Checkpoint { detail } => {
-                assert!(detail.contains("version 99"), "{detail}");
-                assert!(detail.contains("--resume"), "{detail}");
-            }
-            other => panic!("expected Checkpoint error, got {other:?}"),
-        }
         let _ = std::fs::remove_file(&path);
     }
 

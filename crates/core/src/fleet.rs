@@ -1,12 +1,21 @@
-//! Fleet coordination: the job table and lease state machine behind
-//! `repro fleet`.
+//! The job table: the one lease/retry/quarantine/checkpoint state
+//! machine behind both local campaigns and `repro fleet`.
 //!
-//! A campaign at characterization-as-a-service scale (ROADMAP item 1)
-//! outgrows one process: modules are sharded across worker processes,
-//! and workers die — cleanly, or with `kill -9` mid-job. This module
-//! is the *pure* core of the coordinator: a [`JobTable`] that hands
-//! out work under **leases** and guarantees that every module commits
-//! **exactly one** result no matter how many workers raced on it.
+//! A [`JobTable`] hands out work under **leases** and guarantees that
+//! every module commits **exactly one** result no matter how many
+//! attempts raced on it. Two drivers run it:
+//!
+//! * [`CampaignRunner`](crate::CampaignRunner) drives it in-process:
+//!   the supervised executor's worker threads grant, run and commit or
+//!   fail each attempt, and its watchdog marks overrunning jobs
+//!   [`ModuleStatus::TimedOut`].
+//! * The `rh-bench` coordinator drives it over HTTP: leases go to
+//!   worker processes that may die (`kill -9` mid-job) and expire at
+//!   their deadline.
+//!
+//! Either way the table decides Retrying vs Quarantined and the
+//! backoff, and its per-module record is the campaign's
+//! [`ModuleOutcome`].
 //!
 //! # The lease state machine (DESIGN.md §11)
 //!
@@ -17,46 +26,48 @@
 //!    │                  ▼                          ▼
 //!    │               Suspect ◀──────── misses ≥ threshold
 //!    │                  │
-//!    │   deadline passes│(tick)
+//!    │   deadline passes│(tick) or transient fail
 //!    ├──◀── Expired ◀───┘         (backoff per RetryPolicy, attempts += 0
 //!    │                             — the grant already counted)
 //!    └── re-grant = *re-dispatch* (generation += 1)
 //! ```
 //!
-//! Terminal phases are `Committed` (a result landed from the lease
-//! that currently owns the job) and `Quarantined` (attempt budget
-//! exhausted, or a non-transient worker error).
+//! Terminal phases are a committed result (`Succeeded`/`Recovered`),
+//! `Quarantined` (attempt budget exhausted, or a non-transient error)
+//! and `TimedOut` (the local watchdog's deadline). A job still pending
+//! or leased when its run ends reports as `Cancelled { attempts }`.
 //!
 //! # The at-most-once commit rule
 //!
 //! Every grant mints a fresh `(lease_id, generation)`. A result may
 //! commit **only** from the lease that currently owns the job: a
-//! zombie worker's late reply carries a stale generation and is
-//! counted as [`CommitOutcome::Stale`]; a repeat of an
-//! already-committed module is [`CommitOutcome::Duplicate`]. Either
-//! way the committed result never changes — re-dispatch plus this
-//! rule is what makes `kill -9` invisible in the final report.
+//! zombie worker's late reply (or a timed-out local attempt that
+//! finally returns) is counted as [`CommitOutcome::Stale`]; a repeat
+//! of an already-committed module is [`CommitOutcome::Duplicate`].
+//! Either way the committed result never changes — re-dispatch plus
+//! this rule is what makes `kill -9` invisible in the final report.
 //!
-//! # Crash-resume
+//! # Checkpoints
 //!
-//! [`JobTable::save_checkpoint`] persists committed and quarantined
-//! entries (plus attempt counts) through the same
-//! versioned-JSON/atomic-rename machinery as campaign checkpoints.
-//! In-flight leases are deliberately *not* persisted: a restarted
-//! coordinator re-runs exactly the work that was in flight, and
-//! nothing else.
+//! [`JobTable::with_checkpoint`] resumes from, and then after every
+//! terminal transition rewrites, one versioned JSON file
+//! (`{version, entries: [{id, outcome, result}]}`, tmp-write + atomic
+//! rename). Only terminal jobs are persisted: a resumed run re-runs
+//! exactly the work that was unfinished, and nothing else.
 //!
 //! All methods take the current time as a parameter (`now_ms`), so
 //! the whole state machine is deterministic under test.
 
-use crate::campaign::RetryPolicy;
+use crate::campaign::{CampaignReport, ModuleOutcome, ModuleStatus, RetryPolicy};
 use crate::error::CharError;
 use rh_obs::names;
 use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
 
-/// Current fleet checkpoint schema version.
-const FLEET_CHECKPOINT_VERSION: u32 = 1;
+/// Current checkpoint schema version. Version 1 lacked the `TimedOut`
+/// status; its entries still decode, so any version ≤ this is accepted
+/// and anything newer is rejected with a clear error.
+const CHECKPOINT_VERSION: u32 = 2;
 
 /// Liveness of an active lease, driven by heartbeats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,7 +99,7 @@ pub struct Lease {
 }
 
 /// Where one job is in its lifecycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug)]
 enum JobPhase {
     /// Ready to grant once `now >= not_before_ms`.
     Pending {
@@ -97,24 +108,14 @@ enum JobPhase {
     },
     /// Owned by an active lease.
     Leased(Lease),
-    /// A result committed; `generation` records the winning lease.
-    Committed {
-        /// Generation of the lease whose result won.
-        generation: u32,
-        /// The committed result payload.
-        result: Value,
-    },
-    /// Attempt budget exhausted or non-transient error.
-    Quarantined {
-        /// Grants consumed before giving up.
-        attempts: u32,
-        /// Final error, rendered.
-        error: String,
-    },
+    /// Terminal: committed (`Succeeded`/`Recovered`), `Quarantined` or
+    /// `TimedOut`. Never `Cancelled` — that is how an unfinished job
+    /// reports.
+    Done(ModuleStatus),
 }
 
 /// One job: a module plus its dispatch history.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug)]
 struct Job {
     module_id: String,
     /// Opaque work description; the worker interprets it.
@@ -124,10 +125,40 @@ struct Job {
     phase: JobPhase,
     /// One rendered error per failed attempt.
     errors: Vec<String>,
+    /// Scheduled backoff (ms) before each retry, in retry order.
+    backoffs_ms: Vec<u64>,
+    /// The committed result; `Some` exactly when the job committed.
+    result: Option<Value>,
     /// Replay token minted when the result committed (see
     /// [`ReplayToken`]); `None` until then, and forever for payloads
     /// that do not describe a replayable workload.
     token: Option<String>,
+}
+
+impl Job {
+    /// The status a report shows for this job right now.
+    fn status(&self) -> ModuleStatus {
+        match &self.phase {
+            JobPhase::Done(status) => status.clone(),
+            _ => ModuleStatus::Cancelled { attempts: self.attempts },
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        matches!(self.phase, JobPhase::Done(_))
+    }
+
+    fn quarantine(&mut self, error: String) {
+        self.phase = JobPhase::Done(ModuleStatus::Quarantined { attempts: self.attempts, error });
+    }
+
+    /// Schedules the retry after failed attempt `self.attempts`.
+    fn retry(&mut self, policy: &RetryPolicy, now_ms: u64) -> u64 {
+        let backoff_ms = policy.backoff_ms(&self.module_id, self.attempts);
+        self.backoffs_ms.push(backoff_ms);
+        self.phase = JobPhase::Pending { not_before_ms: now_ms + backoff_ms };
+        backoff_ms
+    }
 }
 
 /// The wire form of one job grant, POSTed to a worker.
@@ -183,23 +214,6 @@ pub struct ExpiredLease {
     pub worker: String,
     /// Whether the job was quarantined instead of re-queued.
     pub quarantined: bool,
-}
-
-/// Per-module line in a [`FleetReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetModuleOutcome {
-    /// Stable module identifier.
-    pub id: String,
-    /// `"committed"` or `"quarantined"`.
-    pub status: String,
-    /// Grants consumed.
-    pub attempts: u32,
-    /// One rendered error per failed attempt.
-    pub errors: Vec<String>,
-    /// Deterministic replay token for committed results (see
-    /// [`ReplayToken`]); `None` for quarantined modules or payloads
-    /// that do not describe a replayable workload.
-    pub replay_token: Option<String>,
 }
 
 /// FNV-1a 64-bit hash — the result fingerprint inside a
@@ -334,19 +348,17 @@ impl std::fmt::Display for ReplayToken {
     }
 }
 
-/// Structured summary of a fleet run. `results` carries the committed
-/// payloads in job input order, so a fleet run of seed *s* renders
-/// bit-identically to a single-process run of seed *s*.
+/// Structured summary of a fleet run (or, inside
+/// [`CampaignRunner`](crate::CampaignRunner), of a local one).
+/// `results` carries the committed payloads in job input order, so a
+/// fleet run of seed *s* renders bit-identically to a single-process
+/// run of seed *s*.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
     /// `(module id, committed result)` in input order.
     pub results: Vec<(String, Value)>,
-    /// Per-module outcomes in input order.
-    pub outcomes: Vec<FleetModuleOutcome>,
-    /// Modules with a committed result.
-    pub committed: usize,
-    /// Modules quarantined.
-    pub quarantined: usize,
+    /// Per-module outcomes and counts, as a campaign reports them.
+    pub campaign: CampaignReport,
     /// Grants beyond each module's first (the re-dispatch count).
     pub redispatches: u64,
     /// `true` when the coordinator finished *partially* because
@@ -359,6 +371,9 @@ pub struct FleetReport {
     /// nonzero with `degraded == false` means the fleet rode through
     /// the losses).
     pub workers_lost: u64,
+    /// `(module id, replay token)` for each committed result whose
+    /// payload describes a replayable workload (see [`ReplayToken`]).
+    pub replay_tokens: Vec<(String, String)>,
 }
 
 impl FleetReport {
@@ -366,7 +381,7 @@ impl FleetReport {
     /// degradation.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.quarantined == 0 && !self.degraded
+        self.campaign.is_clean() && !self.degraded
     }
 
     /// One-line human summary. Degradation appends a suffix (the
@@ -375,9 +390,9 @@ impl FleetReport {
     pub fn summary_line(&self) -> String {
         let mut line = format!(
             "{} module(s): {} committed, {} quarantined, {} redispatch(es)",
-            self.outcomes.len(),
-            self.committed,
-            self.quarantined,
+            self.campaign.outcomes.len(),
+            self.results.len(),
+            self.campaign.quarantined,
             self.redispatches
         );
         if self.degraded {
@@ -391,7 +406,7 @@ impl FleetReport {
     /// committed. Called by the coordinator; pure reporting.
     pub fn mark_degraded(&mut self, workers_lost: u64) {
         self.workers_lost = workers_lost;
-        self.degraded = workers_lost > 0 && self.committed < self.outcomes.len();
+        self.degraded = workers_lost > 0 && self.results.len() < self.campaign.outcomes.len();
         rh_obs::gauge(names::FLEET_DEGRADED, if self.degraded { 1.0 } else { 0.0 });
     }
 }
@@ -660,15 +675,17 @@ impl Default for FleetPolicy {
     }
 }
 
-/// The coordinator's authoritative job/lease/commit state. Pure and
-/// clock-injected; the HTTP loop around it lives in `rh-bench`.
+/// The authoritative job/lease/commit state of one run. Pure and
+/// clock-injected; [`CampaignRunner`](crate::CampaignRunner) drives it
+/// in-process and the HTTP coordinator in `rh-bench` drives it across
+/// worker processes.
 #[derive(Debug)]
 pub struct JobTable {
     jobs: Vec<Job>,
     policy: FleetPolicy,
-    /// Every grant ever made: `(lease_id, job index, generation)`.
-    /// Late replies are resolved against this, not just active leases.
-    grants: Vec<(u64, usize, u32)>,
+    /// Every grant ever made: `(lease_id, job index)`. Late replies
+    /// are resolved against this, not just active leases.
+    grants: Vec<(u64, usize)>,
     next_lease_id: u64,
     redispatches: u64,
     checkpoint: Option<PathBuf>,
@@ -734,6 +751,8 @@ impl JobTable {
             attempts: 0,
             phase: JobPhase::Pending { not_before_ms: 0 },
             errors: Vec::new(),
+            backoffs_ms: Vec::new(),
+            result: None,
             token: None,
         });
     }
@@ -744,52 +763,50 @@ impl JobTable {
         &self.policy
     }
 
-    /// Persists a checkpoint to `path` after every commit/quarantine
-    /// and — if the file already exists — resumes from it now:
-    /// committed and quarantined entries are applied to matching
-    /// jobs, everything else (including work that was in flight when
-    /// the previous coordinator died) stays pending and re-runs.
+    /// Persists a checkpoint to `path` after every terminal transition
+    /// and — if the file already exists — resumes from it now: its
+    /// entries are applied to matching jobs as they were recorded,
+    /// everything else (including work that was in flight when the
+    /// previous run died) stays pending and re-runs.
     ///
     /// Call after [`add_job`](Self::add_job)ing the full campaign.
     ///
     /// # Errors
     ///
     /// [`CharError::Checkpoint`] for unreadable, corrupt, or
-    /// future-versioned files.
+    /// future-versioned files, and for a success entry without its
+    /// result.
     pub fn with_checkpoint(&mut self, path: impl Into<PathBuf>) -> Result<(), CharError> {
         let path = path.into();
         clean_stale_tmp(&path);
-        let entries = load_fleet_checkpoint(&path)?;
+        let entries = load_checkpoint(&path)?;
         if !entries.is_empty() {
-            rh_obs::event!(names::FLEET_CHECKPOINT_LOADED, entries = entries.len());
+            rh_obs::event!(names::CAMPAIGN_CHECKPOINT_LOADED, entries = entries.len());
         }
         for entry in entries {
-            if let Some(job) = self.jobs.iter_mut().find(|j| j.module_id == entry.id) {
-                job.attempts = entry.attempts;
-                job.errors = entry.errors;
-                self.redispatches += u64::from(entry.attempts.saturating_sub(1));
-                job.phase = match (entry.status.as_str(), entry.result) {
-                    ("committed", Some(result)) => {
-                        // Re-mint the replay token rather than persist
-                        // it: payload and result are both in hand, and
-                        // a resumed run is by definition local to this
-                        // incarnation (trace 0).
-                        job.token = mint_replay_token(
-                            &job.payload,
-                            &result,
-                            &self.net_plan,
-                            self.net_seed,
-                            0,
-                        );
-                        JobPhase::Committed { generation: entry.generation, result }
-                    }
-                    ("quarantined", _) => JobPhase::Quarantined {
-                        attempts: entry.attempts,
-                        error: entry.error.unwrap_or_default(),
-                    },
-                    _ => JobPhase::Pending { not_before_ms: 0 },
-                };
+            let Some(job) = self.jobs.iter_mut().find(|j| j.module_id == entry.id) else {
+                continue;
+            };
+            let ModuleOutcome { status, errors, backoffs_ms, .. } = entry.outcome;
+            if matches!(status, ModuleStatus::Cancelled { .. }) {
+                continue;
             }
+            if status.is_success() {
+                let result = entry.result.ok_or_else(|| CharError::Checkpoint {
+                    detail: format!("checkpoint entry for {} has no result", entry.id),
+                })?;
+                // Re-mint the replay token rather than persist it: a
+                // resumed result is local to this incarnation (trace 0).
+                job.token =
+                    mint_replay_token(&job.payload, &result, &self.net_plan, self.net_seed, 0);
+                job.result = Some(result);
+            }
+            // Every retry logged one backoff: attempts = retries + 1.
+            job.attempts = backoffs_ms.len() as u32 + 1;
+            self.redispatches += u64::from(job.attempts - 1);
+            job.errors = errors;
+            job.backoffs_ms = backoffs_ms;
+            job.phase = JobPhase::Done(status);
         }
         self.checkpoint = Some(path);
         Ok(())
@@ -820,13 +837,14 @@ impl JobTable {
     }
 
     /// Grants a lease on `module_id` to `worker`, minting a fresh
-    /// `(lease_id, generation)`.
+    /// `(lease_id, generation)`. The backoff gate is advisory here:
+    /// [`next_ready`](Self::next_ready) honors it, a local driver that
+    /// retries at once may grant straight away.
     ///
     /// # Errors
     ///
     /// [`CharError::Checkpoint`] if the job is unknown or not
-    /// currently pending (grants race only through coordinator bugs;
-    /// the table is single-owner).
+    /// currently pending (finished, timed out, or already leased).
     pub fn grant(
         &mut self,
         module_id: &str,
@@ -835,13 +853,9 @@ impl JobTable {
     ) -> Result<JobGrant, CharError> {
         let lease_ms = self.policy.lease_ms;
         let lease_id = self.next_lease_id;
-        let idx = self
-            .jobs
-            .iter()
-            .position(|j| j.module_id == module_id)
-            .ok_or_else(|| CharError::Checkpoint {
-                detail: format!("fleet: grant on unknown module '{module_id}'"),
-            })?;
+        let idx = self.index_of(module_id).ok_or_else(|| CharError::Checkpoint {
+            detail: format!("fleet: grant on unknown module '{module_id}'"),
+        })?;
         let job = &mut self.jobs[idx];
         if !matches!(job.phase, JobPhase::Pending { .. }) {
             return Err(CharError::Checkpoint {
@@ -855,11 +869,11 @@ impl JobTable {
             lease_id,
             generation,
             worker: worker.to_string(),
-            deadline_ms: now_ms + lease_ms,
+            deadline_ms: now_ms.saturating_add(lease_ms),
             state: LeaseState::Granted,
             missed_heartbeats: 0,
         });
-        self.grants.push((lease_id, idx, generation));
+        self.grants.push((lease_id, idx));
         rh_obs::counter(names::FLEET_DISPATCH, 1);
         if generation > 1 {
             self.redispatches += 1;
@@ -928,9 +942,9 @@ impl JobTable {
         }
     }
 
-    /// Applies a worker-reported failure from lease `lease_id`.
-    /// Transient errors retry behind the deterministic backoff until
-    /// the attempt budget runs out; anything else quarantines.
+    /// Applies a failed attempt from lease `lease_id`. Transient
+    /// errors retry behind the deterministic backoff until the attempt
+    /// budget runs out; anything else quarantines.
     pub fn fail(
         &mut self,
         lease_id: u64,
@@ -938,20 +952,16 @@ impl JobTable {
         transient: bool,
         now_ms: u64,
     ) -> FailOutcome {
-        let max_attempts = self.policy.retry.max_attempts;
         let Some(idx) = self.active_lease_index(lease_id) else {
             return FailOutcome::Stale;
         };
-        let retry = self.policy.retry.clone();
         let job = &mut self.jobs[idx];
         job.errors.push(error.to_string());
-        if transient && job.attempts < max_attempts {
-            let backoff_ms = retry.backoff_ms(&job.module_id, job.attempts);
-            job.phase = JobPhase::Pending { not_before_ms: now_ms + backoff_ms };
+        if transient && job.attempts < self.policy.retry.max_attempts {
+            let backoff_ms = job.retry(&self.policy.retry, now_ms);
             FailOutcome::Retrying { backoff_ms }
         } else {
-            job.phase =
-                JobPhase::Quarantined { attempts: job.attempts, error: error.to_string() };
+            job.quarantine(error.to_string());
             rh_obs::counter(names::FLEET_QUARANTINED, 1);
             self.save_if_configured();
             FailOutcome::Quarantined
@@ -964,9 +974,7 @@ impl JobTable {
     /// attempt budget is spent.
     pub fn tick(&mut self, now_ms: u64) -> Vec<ExpiredLease> {
         let max_attempts = self.policy.retry.max_attempts;
-        let retry = self.policy.retry.clone();
         let mut expired = Vec::new();
-        let mut any_quarantined = false;
         for job in &mut self.jobs {
             let JobPhase::Leased(lease) = &job.phase else { continue };
             if now_ms < lease.deadline_ms {
@@ -990,37 +998,46 @@ impl JobTable {
                 lease.lease_id, lease.worker, job.attempts
             ));
             if info.quarantined {
-                job.phase = JobPhase::Quarantined {
-                    attempts: job.attempts,
-                    error: "lease expired; attempt budget exhausted".to_string(),
-                };
+                job.quarantine("lease expired; attempt budget exhausted".to_string());
                 rh_obs::counter(names::FLEET_QUARANTINED, 1);
-                any_quarantined = true;
             } else {
-                let backoff_ms = retry.backoff_ms(&job.module_id, job.attempts);
-                job.phase = JobPhase::Pending { not_before_ms: now_ms + backoff_ms };
+                job.retry(&self.policy.retry, now_ms);
             }
             expired.push(info);
         }
-        if any_quarantined {
+        if expired.iter().any(|e| e.quarantined) {
             self.save_if_configured();
         }
         expired
+    }
+
+    /// Marks `module_id` timed out at the local watchdog's deadline,
+    /// unless it already finished. Its lease stops owning it, so the
+    /// wedged attempt's late [`commit`](Self::commit) is stale.
+    /// Returns whether the job timed out.
+    pub fn time_out(&mut self, module_id: &str, elapsed_ms: u64, deadline_ms: u64) -> bool {
+        let Some(job) = self.jobs.iter_mut().find(|j| j.module_id == module_id) else {
+            return false;
+        };
+        if job.is_done() {
+            return false;
+        }
+        job.phase = JobPhase::Done(ModuleStatus::TimedOut { elapsed_ms, deadline_ms });
+        self.save_if_configured();
+        true
     }
 
     /// Applies an arriving result under the at-most-once rule: only
     /// the lease that currently owns the job may commit. See the
     /// [module docs](self).
     pub fn commit(&mut self, lease_id: u64, result: Value) -> CommitOutcome {
-        let Some(&(_, idx, generation)) =
-            self.grants.iter().find(|(id, _, _)| *id == lease_id)
-        else {
+        let Some(&(_, idx)) = self.grants.iter().find(|(id, _)| *id == lease_id) else {
             rh_obs::counter(names::FLEET_DUPLICATE, 1);
             return CommitOutcome::Stale;
         };
         let job = &mut self.jobs[idx];
         match &job.phase {
-            JobPhase::Committed { .. } => {
+            JobPhase::Done(status) if status.is_success() => {
                 rh_obs::counter(names::FLEET_DUPLICATE, 1);
                 CommitOutcome::Duplicate
             }
@@ -1032,13 +1049,17 @@ impl JobTable {
                     .map_or(0, |&(_, t)| t);
                 job.token =
                     mint_replay_token(&job.payload, &result, &self.net_plan, self.net_seed, trace_id);
-                job.phase = JobPhase::Committed { generation, result };
+                job.result = Some(result);
+                job.phase = JobPhase::Done(match job.attempts {
+                    0 | 1 => ModuleStatus::Succeeded,
+                    attempts => ModuleStatus::Recovered { attempts },
+                });
                 rh_obs::counter(names::FLEET_COMMIT, 1);
                 self.save_if_configured();
                 CommitOutcome::Committed
             }
-            // The job moved on: expired & re-leased, re-pending, or
-            // quarantined. The zombie's reply is dropped.
+            // The job moved on: expired & re-leased, re-pending,
+            // quarantined or timed out. The late reply is dropped.
             _ => {
                 rh_obs::counter(names::FLEET_DUPLICATE, 1);
                 CommitOutcome::Stale
@@ -1049,9 +1070,7 @@ impl JobTable {
     /// Whether every job reached a terminal phase.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.jobs
-            .iter()
-            .all(|j| matches!(j.phase, JobPhase::Committed { .. } | JobPhase::Quarantined { .. }))
+        self.jobs.iter().all(Job::is_done)
     }
 
     /// Jobs admitted.
@@ -1063,12 +1082,23 @@ impl JobTable {
     /// Jobs in a terminal phase.
     #[must_use]
     pub fn done_count(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| {
-                matches!(j.phase, JobPhase::Committed { .. } | JobPhase::Quarantined { .. })
-            })
-            .count()
+        self.jobs.iter().filter(|j| j.is_done()).count()
+    }
+
+    /// The status `module_id` would report now: its terminal status,
+    /// or `Cancelled { attempts }` while it is unfinished. `None` for
+    /// an unknown module.
+    #[must_use]
+    pub fn status(&self, module_id: &str) -> Option<ModuleStatus> {
+        self.index_of(module_id).map(|idx| self.jobs[idx].status())
+    }
+
+    /// [`status`](Self::status) of the job lease `lease_id` was
+    /// granted on, for any lease ever minted.
+    #[must_use]
+    pub fn lease_status(&self, lease_id: u64) -> Option<ModuleStatus> {
+        let &(_, idx) = self.grants.iter().find(|(id, _)| *id == lease_id)?;
+        Some(self.jobs[idx].status())
     }
 
     /// Active leases, for the poll loop: `(lease_id, worker, state)`.
@@ -1089,47 +1119,40 @@ impl JobTable {
         self.redispatches
     }
 
-    /// The generation a lease was granted at (== the module's attempt
-    /// count at grant time), for any lease ever minted.
+    /// The final report, moving the committed results out of the
+    /// table. Jobs still pending or leased report as `Cancelled`.
     #[must_use]
-    pub fn lease_generation(&self, lease_id: u64) -> Option<u32> {
-        self.grants.iter().find(|(id, _, _)| *id == lease_id).map(|&(_, _, g)| g)
-    }
-
-    /// The final report. Call once [`is_done`](Self::is_done) (jobs
-    /// still in flight are simply absent from `results`).
-    #[must_use]
-    pub fn report(&self) -> FleetReport {
+    pub fn into_report(self) -> FleetReport {
         let mut results = Vec::new();
-        let mut outcomes = Vec::new();
-        for job in &self.jobs {
-            let status = match &job.phase {
-                JobPhase::Committed { result, .. } => {
-                    results.push((job.module_id.clone(), result.clone()));
-                    "committed"
-                }
-                JobPhase::Quarantined { .. } => "quarantined",
-                _ => "pending",
-            };
-            outcomes.push(FleetModuleOutcome {
-                id: job.module_id.clone(),
-                status: status.to_string(),
-                attempts: job.attempts,
-                errors: job.errors.clone(),
-                replay_token: job.token.clone(),
+        let mut replay_tokens = Vec::new();
+        let mut outcomes = Vec::with_capacity(self.jobs.len());
+        for job in self.jobs {
+            let status = job.status();
+            if let Some(result) = job.result {
+                results.push((job.module_id.clone(), result));
+            }
+            if let Some(token) = job.token {
+                replay_tokens.push((job.module_id.clone(), token));
+            }
+            outcomes.push(ModuleOutcome {
+                id: job.module_id,
+                status,
+                errors: job.errors,
+                backoffs_ms: job.backoffs_ms,
             });
         }
-        let committed = outcomes.iter().filter(|o| o.status == "committed").count();
-        let quarantined = outcomes.iter().filter(|o| o.status == "quarantined").count();
         FleetReport {
             results,
-            outcomes,
-            committed,
-            quarantined,
+            campaign: CampaignReport::from_outcomes(outcomes),
             redispatches: self.redispatches,
             degraded: false,
             workers_lost: 0,
+            replay_tokens,
         }
+    }
+
+    fn index_of(&self, module_id: &str) -> Option<usize> {
+        self.jobs.iter().position(|j| j.module_id == module_id)
     }
 
     fn active_lease_index(&self, lease_id: u64) -> Option<usize> {
@@ -1145,61 +1168,40 @@ impl JobTable {
         })
     }
 
+    /// Rewrites the checkpoint, if one is configured. A failed write
+    /// only degrades resumability, so it never fails the run.
     fn save_if_configured(&self) {
-        if let Some(path) = &self.checkpoint {
-            match self.save_checkpoint(path) {
-                Ok(entries) => {
-                    rh_obs::event!(names::FLEET_CHECKPOINT_SAVED, entries = entries, ok = true);
-                }
-                Err(e) => {
-                    rh_obs::event!(
-                        names::FLEET_CHECKPOINT_SAVED,
-                        entries = 0usize,
-                        ok = false,
-                        error = e.to_string()
-                    );
-                }
-            }
-        }
+        let Some(path) = &self.checkpoint else { return };
+        let saved = self.save_checkpoint(path);
+        rh_obs::event!(
+            names::CAMPAIGN_CHECKPOINT_SAVED,
+            entries = saved.as_ref().map_or(0, |n| *n),
+            ok = saved.is_ok(),
+        );
     }
 
-    /// Writes the terminal entries (committed + quarantined) to
-    /// `path` via tmp-write + atomic rename. In-flight leases are not
-    /// persisted by design.
-    ///
-    /// # Errors
-    ///
-    /// [`CharError::Checkpoint`] on serialization or I/O failure.
-    pub fn save_checkpoint(&self, path: &Path) -> Result<usize, CharError> {
-        let entries: Vec<FleetCheckpointEntry> = self
+    /// Writes the terminal entries to `path` via tmp-write + atomic
+    /// rename; returns how many. Unfinished jobs are not persisted.
+    fn save_checkpoint(&self, path: &Path) -> Result<usize, CharError> {
+        let entries: Vec<CheckpointEntry> = self
             .jobs
             .iter()
-            .filter_map(|job| match &job.phase {
-                JobPhase::Committed { generation, result } => Some(FleetCheckpointEntry {
+            .filter(|job| job.is_done())
+            .map(|job| CheckpointEntry {
+                id: job.module_id.clone(),
+                outcome: ModuleOutcome {
                     id: job.module_id.clone(),
-                    status: "committed".to_string(),
-                    attempts: job.attempts,
-                    generation: *generation,
+                    status: job.status(),
                     errors: job.errors.clone(),
-                    result: Some(result.clone()),
-                    error: None,
-                }),
-                JobPhase::Quarantined { attempts, error } => Some(FleetCheckpointEntry {
-                    id: job.module_id.clone(),
-                    status: "quarantined".to_string(),
-                    attempts: *attempts,
-                    generation: 0,
-                    errors: job.errors.clone(),
-                    result: None,
-                    error: Some(error.clone()),
-                }),
-                _ => None,
+                    backoffs_ms: job.backoffs_ms.clone(),
+                },
+                result: job.result.clone(),
             })
             .collect();
         let count = entries.len();
-        let cp = FleetCheckpoint { version: FLEET_CHECKPOINT_VERSION, entries };
+        let cp = Checkpoint { version: CHECKPOINT_VERSION, entries };
         let bytes = serde_json::to_vec_pretty(&cp.to_json_value()).map_err(|e| {
-            CharError::Checkpoint { detail: format!("serialize fleet checkpoint: {e}") }
+            CharError::Checkpoint { detail: format!("serialize checkpoint: {e}") }
         })?;
         let tmp = path.with_extension("tmp");
         std::fs::write(&tmp, bytes).map_err(|e| CharError::Checkpoint {
@@ -1213,22 +1215,23 @@ impl JobTable {
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct FleetCheckpointEntry {
+struct CheckpointEntry {
     id: String,
-    status: String,
-    attempts: u32,
-    generation: u32,
-    errors: Vec<String>,
+    outcome: ModuleOutcome,
+    /// The serialized result for successful modules.
     result: Option<Value>,
-    error: Option<String>,
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct FleetCheckpoint {
+struct Checkpoint {
     version: u32,
-    entries: Vec<FleetCheckpointEntry>,
+    entries: Vec<CheckpointEntry>,
 }
 
+/// Removes a stale `*.tmp` left behind by a crash between a save's
+/// write and rename. The rename is atomic, so the real checkpoint is
+/// either the previous complete save or the new one — the orphan is
+/// always safe to delete.
 fn clean_stale_tmp(path: &Path) {
     let tmp = path.with_extension("tmp");
     if tmp.exists() && std::fs::remove_file(&tmp).is_ok() {
@@ -1236,17 +1239,19 @@ fn clean_stale_tmp(path: &Path) {
     }
 }
 
-/// Loads a fleet checkpoint, returning no entries for a missing file.
+/// Loads a checkpoint and returns its entry count — the "is this file
+/// still usable?" probe shutdown paths and the soak harness use.
 ///
 /// # Errors
 ///
 /// [`CharError::Checkpoint`] for unreadable, corrupt, or
-/// future-versioned files.
-pub fn verify_fleet_checkpoint(path: &Path) -> Result<usize, CharError> {
-    load_fleet_checkpoint(path).map(|entries| entries.len())
+/// future-versioned files. A missing file is `Ok(0)` (a run that never
+/// saved is trivially resumable).
+pub fn verify_checkpoint(path: &Path) -> Result<usize, CharError> {
+    load_checkpoint(path).map(|entries| entries.len())
 }
 
-fn load_fleet_checkpoint(path: &Path) -> Result<Vec<FleetCheckpointEntry>, CharError> {
+fn load_checkpoint(path: &Path) -> Result<Vec<CheckpointEntry>, CharError> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -1257,12 +1262,16 @@ fn load_fleet_checkpoint(path: &Path) -> Result<Vec<FleetCheckpointEntry>, CharE
     let value: Value = serde_json::from_str(&text).map_err(|e| CharError::Checkpoint {
         detail: format!("parse {}: {e}", path.display()),
     })?;
+    // Check the version *before* decoding the whole structure, so a
+    // checkpoint from a newer schema fails with "written by version 3,
+    // this build reads ≤ 2" instead of an opaque serde error about
+    // whichever field changed.
     match value.field("version").as_u64() {
-        Some(v) if v > u64::from(FLEET_CHECKPOINT_VERSION) => {
+        Some(v) if v > u64::from(CHECKPOINT_VERSION) => {
             return Err(CharError::Checkpoint {
                 detail: format!(
-                    "{} was written by fleet checkpoint schema version {v}; this build reads \
-                     versions <= {FLEET_CHECKPOINT_VERSION}",
+                    "{} was written by checkpoint schema version {v}; this build reads \
+                     versions <= {CHECKPOINT_VERSION} — rerun without --resume or upgrade",
                     path.display()
                 ),
             });
@@ -1274,8 +1283,8 @@ fn load_fleet_checkpoint(path: &Path) -> Result<Vec<FleetCheckpointEntry>, CharE
             });
         }
     }
-    let cp = FleetCheckpoint::from_json_value(&value).map_err(|e| CharError::Checkpoint {
-        detail: format!("decode {}: {e}", path.display()),
+    let cp = Checkpoint::from_json_value(&value).map_err(|e| CharError::Checkpoint {
+        detail: format!("decode {}: {e} — rerun without --resume", path.display()),
     })?;
     Ok(cp.entries)
 }
@@ -1337,12 +1346,12 @@ mod tests {
         t.bind_trace(g.lease_id, 0xfeed);
         let result = json!({"ber": 0.5});
         assert_eq!(t.commit(g.lease_id, result.clone()), CommitOutcome::Committed);
-        let report = t.report();
-        let by_id = |id: &str| {
-            report.outcomes.iter().find(|o| o.id == id).unwrap_or_else(|| panic!("{id} missing"))
+        let report = t.into_report();
+        let token_of = |id: &str| {
+            report.replay_tokens.iter().find(|(m, _)| m == id).map(|(_, token)| token.clone())
         };
-        assert_eq!(by_id("m0").replay_token, None);
-        let token_str = by_id("mfr_a#0").replay_token.clone().expect("token minted");
+        assert_eq!(token_of("m0"), None);
+        let token_str = token_of("mfr_a#0").expect("token minted");
         let token = ReplayToken::parse(&token_str).expect("token parses");
         assert_eq!(token.workload, "row_variation");
         assert_eq!((token.index, token.seed), (0, 9));
@@ -1420,10 +1429,11 @@ mod tests {
         assert_eq!(t.commit(g1.lease_id, json!({"zombie": true})), CommitOutcome::Stale);
         // ...and the live lease's result must.
         assert_eq!(t.commit(g2.lease_id, json!({"ber": 1.0})), CommitOutcome::Committed);
-        let report = t.report();
+        let report = t.into_report();
         assert_eq!(report.results.len(), 1);
         assert_eq!(report.results[0].1, json!({"ber": 1.0}), "zombie result must not win");
         assert_eq!(report.redispatches, 1);
+        assert_eq!(report.campaign.outcomes[0].status, ModuleStatus::Recovered { attempts: 2 });
     }
 
     #[test]
@@ -1457,13 +1467,19 @@ mod tests {
             assert_eq!(expired.len(), 1);
             assert_eq!(expired[0].quarantined, attempt == 3);
         }
-        let report = t.report();
-        assert_eq!(report.quarantined, 1);
-        assert_eq!(report.outcomes[0].attempts, 3);
-        assert!(!report.is_clean());
         // Quarantined jobs never re-dispatch.
         t.grant("m1", "w1", now).unwrap();
         assert_eq!(t.next_ready(u64::MAX), None);
+        let report = t.into_report();
+        assert_eq!(report.campaign.quarantined, 1);
+        assert!(matches!(
+            report.campaign.outcomes[0].status,
+            ModuleStatus::Quarantined { attempts: 3, .. }
+        ));
+        assert_eq!(report.campaign.outcomes[0].backoffs_ms.len(), 2, "one backoff per retry");
+        // The still-leased m1 reports as unfinished.
+        assert_eq!(report.campaign.outcomes[1].status, ModuleStatus::Cancelled { attempts: 1 });
+        assert!(!report.is_clean());
     }
 
     #[test]
@@ -1485,9 +1501,10 @@ mod tests {
             t.fail(g2.lease_id, "module unresponsive", false, 300),
             FailOutcome::Quarantined
         );
-        let report = t.report();
-        assert_eq!(report.outcomes[0].errors.len(), 2);
-        assert_eq!(report.quarantined, 1);
+        let report = t.into_report();
+        assert_eq!(report.campaign.outcomes[0].errors.len(), 2);
+        assert_eq!(report.campaign.outcomes[0].backoffs_ms, vec![backoff_ms]);
+        assert_eq!(report.campaign.quarantined, 1);
     }
 
     #[test]
@@ -1540,24 +1557,38 @@ mod tests {
         let g2 = resumed.grant("m2", "w3", 0).unwrap();
         assert_eq!(resumed.commit(g2.lease_id, json!({"ok": 2})), CommitOutcome::Committed);
         assert!(resumed.is_done());
-        let report = resumed.report();
-        assert_eq!(report.committed, 2);
-        assert_eq!(report.quarantined, 1);
-        assert_eq!(verify_fleet_checkpoint(&path).unwrap(), 3);
+        assert_eq!(resumed.status("m1"), Some(ModuleStatus::Quarantined {
+            attempts: 1,
+            error: "module unresponsive".to_string(),
+        }));
+        let report = resumed.into_report();
+        assert_eq!(report.results.len(), 2);
+        assert_eq!(report.campaign.quarantined, 1);
+        assert_eq!(verify_checkpoint(&path).unwrap(), 3);
 
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]
-    fn future_version_checkpoint_is_rejected() {
+    fn future_checkpoint_version_is_rejected_with_clear_error() {
         let dir = std::env::temp_dir().join(format!("rh-fleet-ver-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fleet.json");
+        let path = dir.join("future.json");
         std::fs::write(&path, "{\"version\": 99, \"entries\": []}").unwrap();
-        let mut t = table();
-        let err = t.with_checkpoint(&path).unwrap_err();
-        assert!(err.to_string().contains("version 99"), "got {err}");
+        // Both the resume path and the verify probe go through the one
+        // loader, and both name the version and the way out.
+        let resume_err = table().with_checkpoint(&path).unwrap_err();
+        let verify_err = verify_checkpoint(&path).unwrap_err();
+        for err in [resume_err, verify_err] {
+            match &err {
+                CharError::Checkpoint { detail } => {
+                    assert!(detail.contains("version 99"), "{detail}");
+                    assert!(detail.contains("--resume"), "{detail}");
+                }
+                other => panic!("expected Checkpoint error, got {other:?}"),
+            }
+        }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
     }
@@ -1674,12 +1705,13 @@ mod tests {
 
     #[test]
     fn degraded_report_semantics() {
+        // m1 never finishes: the coordinator lost its last worker.
         let mut t = table();
         let g = t.grant("m0", "w1", 0).unwrap();
         assert_eq!(t.commit(g.lease_id, json!({"ok": 0})), CommitOutcome::Committed);
-        // m1 never finishes: the coordinator lost its last worker.
-        let mut partial = t.report();
-        assert_eq!(partial.committed, 1);
+        let mut partial = t.into_report();
+        assert_eq!(partial.results.len(), 1);
+        assert_eq!(partial.campaign.cancelled, 1, "the unfinished job reports as cancelled");
         partial.mark_degraded(1);
         assert!(partial.degraded);
         assert!(!partial.is_clean());
@@ -1693,9 +1725,12 @@ mod tests {
         // Losing workers while still committing everything is NOT
         // degradation — the fleet absorbed it (fleet-smoke relies on
         // this: kill -9 one of two workers, still clean 4/4).
-        let g1 = t.grant("m1", "w2", 0).unwrap();
-        assert_eq!(t.commit(g1.lease_id, json!({"ok": 1})), CommitOutcome::Committed);
-        let mut full = t.report();
+        let mut t = table();
+        for (m, w) in [("m0", "w1"), ("m1", "w2")] {
+            let g = t.grant(m, w, 0).unwrap();
+            assert_eq!(t.commit(g.lease_id, json!({"ok": m})), CommitOutcome::Committed);
+        }
+        let mut full = t.into_report();
         full.mark_degraded(1);
         assert!(!full.degraded);
         assert!(full.is_clean());

@@ -65,14 +65,14 @@ pub mod report;
 pub mod wcdp;
 
 pub use campaign::{
-    module_id, verify_checkpoint, CampaignOutput, CampaignReport, CampaignRunner,
+    module_id, CampaignOutput, CampaignReport, CampaignRunner,
     ModuleOutcome, ModuleStatus, ModuleTask, RetryPolicy,
 };
 pub use config::{Scale, TestPlan};
 pub use error::CharError;
 pub use fleet::{
-    fnv1a64, mint_replay_token, verify_fleet_checkpoint, CommitOutcome, FailOutcome,
-    FleetModuleOutcome, FleetPolicy, FleetReport, JobGrant, JobTable, LeaseState, ReplayToken,
+    fnv1a64, mint_replay_token, verify_checkpoint, CommitOutcome, FailOutcome, FleetPolicy,
+    FleetReport, JobGrant, JobTable, LeaseState, ReplayToken,
 };
 pub use executor::ExecutorConfig;
 pub use metrics::{BerMeasurement, Characterizer};

@@ -4,10 +4,11 @@
 //! (schema v2) written by an earlier build of
 //! `repro --scale smoke --fault-scenario flaky-host --fault-seed 7
 //! --checkpoint PREFIX fig4`. Resuming it must reproduce that build's
-//! report byte for byte.
+//! report byte for byte. A coordinator checkpoint from before the
+//! campaign and fleet formats were unified is refused, not guessed at.
 
 use rh_bench::runners::{run_target, RunConfig};
-use rh_core::{fnv1a64, verify_checkpoint, Scale};
+use rh_core::{fnv1a64, verify_checkpoint, CharError, FleetPolicy, JobTable, Scale};
 use rh_softmc::FaultPlan;
 use std::path::PathBuf;
 
@@ -41,5 +42,24 @@ fn earlier_campaign_checkpoint_resumes_to_the_same_report() {
     let out = run_target("fig4", &cfg).unwrap();
     let got = format!("{:016x}", fnv1a64(out.data.to_string().as_bytes()));
     assert_eq!(got, FLAKY_HOST_7_FIG4, "resumed report differs from the earlier build's");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn pre_unification_fleet_checkpoint_is_rejected() {
+    let path = scratch_prefix("fleet-v1.json");
+    std::fs::write(
+        &path,
+        r#"{"version": 1, "entries": [{"id": "mfr_a#0", "status": "committed",
+            "attempts": 1, "generation": 1, "errors": [], "result": {"ber": 0.5},
+            "error": null}]}"#,
+    )
+    .unwrap();
+    let mut table = JobTable::new(FleetPolicy::default());
+    table.add_job("mfr_a#0", Default::default());
+    for err in [verify_checkpoint(&path).unwrap_err(), table.with_checkpoint(&path).unwrap_err()]
+    {
+        assert!(matches!(err, CharError::Checkpoint { .. }), "{err}");
+    }
     let _ = std::fs::remove_file(&path);
 }

@@ -12,10 +12,11 @@ use rh_bench::runners::{run_target, RunConfig};
 use rh_core::{fnv1a64, Scale};
 use rh_softmc::FaultPlan;
 
-/// (target, fault preset and seed, digest of
-/// `run_target(target, smoke).data.to_string()`). `None` is a
-/// fault-free run.
-const PINS: &[(&str, Option<(&str, u64)>, &str)] = &[
+/// A fault preset name and seed; `None` is a fault-free run.
+type Faults = Option<(&'static str, u64)>;
+
+/// (target, faults, digest of `run_target(target, smoke).data.to_string()`).
+const PINS: &[(&str, Faults, &str)] = &[
     ("memctl", None, "c6af820502212675"),
     ("defense-matrix", None, "f24e33818d76ae68"),
     ("trrespass", None, "11bdf733221df53a"),
