@@ -20,7 +20,7 @@
 //! and reproduces the same final report.
 
 use crate::error::CharError;
-use crate::executor::{self, ExecutorConfig};
+use crate::executor::{self, lock, ExecutorConfig};
 use crate::experiments::panic_detail;
 use crate::fleet::{fnv1a64, CommitOutcome, FailOutcome, FleetPolicy, FleetReport, JobTable};
 use crate::progress::ProgressTracker;
@@ -30,7 +30,7 @@ use rh_softmc::CancelToken;
 use serde::{Deserialize, Serialize, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Bounded-retry policy with deterministic exponential backoff.
@@ -585,12 +585,6 @@ impl CampaignRunner {
         );
         status
     }
-}
-
-/// Recovers from a poisoned lock: a panicking attempt is caught before
-/// it can unwind through the table, so its state stays consistent.
-fn lock(table: &Mutex<JobTable>) -> MutexGuard<'_, JobTable> {
-    table.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]

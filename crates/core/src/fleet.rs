@@ -1079,12 +1079,6 @@ impl JobTable {
         self.jobs.len()
     }
 
-    /// Jobs in a terminal phase.
-    #[must_use]
-    pub fn done_count(&self) -> usize {
-        self.jobs.iter().filter(|j| j.is_done()).count()
-    }
-
     /// The status `module_id` would report now: its terminal status,
     /// or `Cancelled { attempts }` while it is unfinished. `None` for
     /// an unknown module.
@@ -1398,7 +1392,8 @@ mod tests {
         assert_eq!(t.commit(g.lease_id, json!({"ber": 0.5})), CommitOutcome::Committed);
         assert_eq!(t.commit(g.lease_id, json!({"ber": 0.5})), CommitOutcome::Duplicate);
         assert!(!t.is_done(), "m1 still pending");
-        assert_eq!(t.done_count(), 1);
+        assert_eq!(t.status("m0"), Some(ModuleStatus::Succeeded));
+        assert_eq!(t.status("m1"), Some(ModuleStatus::Cancelled { attempts: 0 }));
     }
 
     #[test]
@@ -1553,7 +1548,7 @@ mod tests {
         // Committed and quarantined entries survive; only the
         // in-flight m2 is pending again.
         assert_eq!(resumed.next_ready(0).as_deref(), Some("m2"));
-        assert_eq!(resumed.done_count(), 2);
+        assert_eq!(resumed.status("m0"), Some(ModuleStatus::Succeeded));
         let g2 = resumed.grant("m2", "w3", 0).unwrap();
         assert_eq!(resumed.commit(g2.lease_id, json!({"ok": 2})), CommitOutcome::Committed);
         assert!(resumed.is_done());

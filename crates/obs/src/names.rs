@@ -119,9 +119,9 @@ pub const CAMPAIGN_CANCELLED: &str = "campaign.cancelled";
 pub const CAMPAIGN_RETRY_EVENT: &str = "campaign.retry";
 /// Event: one quarantine (module, attempts, transient, error).
 pub const CAMPAIGN_QUARANTINE_EVENT: &str = "campaign.quarantine";
-/// Event: a checkpoint was loaded (entries).
+/// Event: a job-table checkpoint (campaign or fleet) was loaded (entries).
 pub const CAMPAIGN_CHECKPOINT_LOADED: &str = "campaign.checkpoint.loaded";
-/// Event: a checkpoint was saved (entries, ok).
+/// Event: a job-table checkpoint (campaign or fleet) was saved (entries, ok).
 pub const CAMPAIGN_CHECKPOINT_SAVED: &str = "campaign.checkpoint.saved";
 /// Event: a stale checkpoint temp file was removed.
 pub const CAMPAIGN_CHECKPOINT_STALE_TMP: &str = "campaign.checkpoint.stale_tmp_removed";
@@ -193,10 +193,6 @@ pub const FLEET_QUARANTINED: &str = "fleet.quarantined";
 pub const FLEET_GRANT_EVENT: &str = "fleet.grant";
 /// Event: one lease expiry (module, lease, worker).
 pub const FLEET_EXPIRE_EVENT: &str = "fleet.expire";
-/// Event: the fleet checkpoint was loaded (committed entries).
-pub const FLEET_CHECKPOINT_LOADED: &str = "fleet.checkpoint.loaded";
-/// Event: the fleet checkpoint was saved (committed entries).
-pub const FLEET_CHECKPOINT_SAVED: &str = "fleet.checkpoint.saved";
 
 /// Jobs a worker accepted onto a slot.
 pub const WORKER_JOBS_ACCEPTED: &str = "worker.jobs.accepted";
@@ -368,8 +364,6 @@ pub fn all() -> &'static [&'static str] {
         FLEET_QUARANTINED,
         FLEET_GRANT_EVENT,
         FLEET_EXPIRE_EVENT,
-        FLEET_CHECKPOINT_LOADED,
-        FLEET_CHECKPOINT_SAVED,
         FLEET_BREAKER_TRIP,
         FLEET_BREAKER_HALF_OPEN,
         FLEET_BREAKER_CLOSE,
