@@ -1012,7 +1012,8 @@ mod tests {
         let g = table.grant(&ids[0], "w", 0).unwrap();
         assert_eq!(table.commit(g.lease_id, Value::Bool(true)), CommitOutcome::Committed);
         let g = table.grant(&ids[1], "w", 0).unwrap();
-        assert_eq!(table.fail(g.lease_id, "module unresponsive", false, 0), FailOutcome::Quarantined);
+        let quarantined = table.fail(g.lease_id, "module unresponsive", false, 0);
+        assert_eq!(quarantined, FailOutcome::Quarantined);
 
         // Resume against a worker that refuses every connection and is
         // evicted on its first failure: only the resumed modules finish.
@@ -1023,7 +1024,11 @@ mod tests {
             checkpoint: Some(ckpt.clone()),
             progress: Some(Arc::clone(&progress)),
             poll_ms: 10,
-            breaker: BreakerPolicy { failure_threshold: 1, max_trips: 1, ..BreakerPolicy::default() },
+            breaker: BreakerPolicy {
+                failure_threshold: 1,
+                max_trips: 1,
+                ..BreakerPolicy::default()
+            },
             ..base
         };
         let report = run_fleet(&cfg).unwrap();

@@ -117,9 +117,9 @@ pub enum ModuleStatus {
         /// The configured deadline, milliseconds.
         deadline_ms: u64,
     },
-    /// The campaign was cancelled (operator interrupt or fail-fast)
-    /// before this module finished. Never checkpointed: a resumed
-    /// campaign re-runs exactly these modules.
+    /// The run ended (operator interrupt, fail-fast, or a fleet that
+    /// lost every worker) before this module finished. Never
+    /// checkpointed: a resumed run re-runs exactly these modules.
     Cancelled {
         /// Attempts started before the cancellation (0 if the module
         /// never left the queue).
@@ -489,7 +489,11 @@ impl CampaignRunner {
                 let mut table = lock(table);
                 if token.is_cancelled() {
                     rh_obs::counter(names::CAMPAIGN_CANCELLED, 1);
-                    rh_obs::event!(names::CAMPAIGN_CANCELLED, module = task.id.as_str(), ran = true);
+                    rh_obs::event!(
+                        names::CAMPAIGN_CANCELLED,
+                        module = task.id.as_str(),
+                        ran = true,
+                    );
                     break table.status(&task.id);
                 }
                 // Refused only once the watchdog has timed the job out.

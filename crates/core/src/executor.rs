@@ -108,7 +108,7 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 ///
 /// `commit(idx, &result)` runs exactly once per slot, on the deciding
 /// thread, right after the decision — the hook campaigns use to
-/// persist checkpoints and trip fail-fast cancellation.
+/// record progress and trip fail-fast cancellation.
 ///
 /// Returns all `n` results in task order. The call returns as soon as
 /// every slot is decided, which may be *before* a wedged worker has

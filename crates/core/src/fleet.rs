@@ -1503,6 +1503,26 @@ mod tests {
     }
 
     #[test]
+    fn timed_out_job_rejects_the_late_commit() {
+        let mut t = table();
+        let g = t.grant("m0", "local", 0).unwrap();
+        assert!(t.time_out("m0", 8_001, 8_000));
+        assert!(!t.time_out("m0", 9_000, 8_000), "a terminal job cannot time out again");
+        // The wedged attempt finally returns: its lease no longer owns
+        // the job, so neither its result nor its failure lands.
+        assert_eq!(t.commit(g.lease_id, json!({"late": true})), CommitOutcome::Stale);
+        assert_eq!(t.fail(g.lease_id, "cancelled", false, 9_000), FailOutcome::Stale);
+        assert!(t.grant("m0", "local", 9_000).is_err(), "a timed-out job is not re-run");
+        let g1 = t.grant("m1", "local", 0).unwrap();
+        assert_eq!(t.commit(g1.lease_id, json!(1)), CommitOutcome::Committed);
+        assert!(!t.time_out("m1", 9_000, 8_000), "a committed job keeps its result");
+        let report = t.into_report();
+        let timed_out = ModuleStatus::TimedOut { elapsed_ms: 8_001, deadline_ms: 8_000 };
+        assert_eq!(report.campaign.outcomes[0].status, timed_out);
+        assert_eq!(report.results, vec![("m1".to_string(), json!(1))]);
+    }
+
+    #[test]
     fn release_returns_job_without_burning_an_attempt() {
         let mut t = table();
         let g = t.grant("m0", "w1", 0).unwrap();
