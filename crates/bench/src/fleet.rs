@@ -7,7 +7,7 @@
 //! worker-process spawning, `Retry-After`-honoring backoff, fleet-wide
 //! progress aggregation, and cancellation fan-out. See DESIGN.md §11.
 
-use crate::worker::{event_from_value, fleet_module_id, job_payload};
+use crate::worker::{fleet_module_id, job_payload};
 use rh_core::fleet::{
     BreakerPolicy, BreakerState, CircuitBreaker, CommitOutcome, FailOutcome, FleetPolicy,
     FleetReport, JobTable,
@@ -16,7 +16,7 @@ use rh_core::{CharError, ProgressTracker, RetryPolicy, Scale};
 use rh_dram::Manufacturer;
 use rh_obs::faultnet::InstalledPlan;
 use rh_obs::names;
-use rh_obs::stream::{self, EventDedup, JobEvent};
+use rh_obs::stream::{self, EventDedup, EventKind, JobEvent};
 use rh_obs::{http_get, http_post, ClientResponse, FederationHub, NetFaultPlan};
 use rh_softmc::CancelToken;
 use serde::{Serialize as _, Value};
@@ -82,7 +82,8 @@ pub struct FleetConfig {
     /// Append-only fleet journal (`journal.jsonl`): every per-job
     /// lifecycle event scraped from worker `/events` streams — plus
     /// the terminal-event copies embedded in poll replies — lands
-    /// here exactly once, deduplicated by `(lease_id, seq)`. `None`
+    /// here exactly once, deduplicated by `(lease_id, seq)`; a
+    /// `committed` event only from the poll that won its commit. `None`
     /// disables event-stream ingestion entirely.
     pub journal: Option<PathBuf>,
     /// Metrics federation hub: when set, the coordinator periodically
@@ -311,12 +312,12 @@ fn poll_lease(addr: &str, lease_id: u64, timeout: Duration) -> PollVerdict {
                 let t = body.field("trace");
                 (!t.is_null()).then(|| t.clone())
             },
-            event: event_from_value(body.field("event")),
+            event: JobEvent::from_json(body.field("event")),
         },
         Some("failed") => PollVerdict::Failed {
             error: body.field("error").as_str().unwrap_or("unknown worker error").to_string(),
             transient: body.field("transient").as_bool().unwrap_or(false),
-            event: event_from_value(body.field("event")),
+            event: JobEvent::from_json(body.field("event")),
         },
         // "cancelled" / "unknown" / garbage: the lease is not coming
         // back from this worker.
@@ -329,6 +330,12 @@ fn poll_lease(addr: &str, lease_id: u64, timeout: Duration) -> PollVerdict {
 /// breaker trips, SIGKILLed workers replaced mid-stream, terminal
 /// copies riding poll replies) collapses through [`EventDedup`]
 /// before anything is appended to `journal.jsonl`.
+///
+/// A `committed` event is journaled only from a Done poll whose
+/// [`JobTable::commit`] returned [`CommitOutcome::Committed`], so the
+/// journal's committed events are exactly the table's commits. A
+/// re-dispatched module can finish under two leases; the stream copy
+/// of the losing lease's `committed` event cannot tell it lost.
 struct FleetJournal {
     writer: Option<std::io::BufWriter<std::fs::File>>,
     dedup: EventDedup,
@@ -387,14 +394,31 @@ impl FleetJournal {
         self.note_last_seq(worker, ev.seq);
     }
 
+    /// Journals the `committed` event a Done poll carried, but only
+    /// when the table took that poll's result; a stale or duplicate
+    /// commit's copy is counted and dropped.
+    fn ingest_commit(&mut self, worker: &str, ev: &JobEvent, committed: bool) {
+        if committed {
+            self.ingest_one(worker, ev);
+        } else {
+            rh_obs::counter(names::FLEET_JOURNAL_STALE_TERMINALS, 1);
+            self.note_last_seq(worker, ev.seq);
+        }
+    }
+
     /// Ingests one stream batch and advances the resume cursor over
     /// every seq it covered (batches are oldest-first, so the max seq
-    /// is the new cursor).
+    /// is the new cursor). `committed` events only advance the cursor:
+    /// they enter the journal through [`Self::ingest_commit`].
     fn ingest_batch(&mut self, worker: &str, events: &[JobEvent]) {
         let mut fresh = 0u64;
         let mut dup = 0u64;
         let mut top = self.cursor(worker);
         for ev in events {
+            top = top.max(ev.seq);
+            if ev.kind == EventKind::Committed {
+                continue;
+            }
             if self.dedup.admit(ev) {
                 if let Some(w) = self.writer.as_mut() {
                     let _ = w.write_all(stream::journal_line(worker, ev).as_bytes());
@@ -403,7 +427,6 @@ impl FleetJournal {
             } else {
                 dup += 1;
             }
-            top = top.max(ev.seq);
         }
         if fresh > 0 {
             if let Some(w) = self.writer.as_mut() {
@@ -776,15 +799,15 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
                     table.heartbeat(lease_id, now_ms(origin));
                 }
                 PollVerdict::Done { result, trace, event } => {
-                    // Journal the embedded terminal event through the
-                    // same dedup path as the stream copy — this is
-                    // what guarantees a committed job's terminal
-                    // event survives a worker SIGKILLed before its
-                    // stream is scraped again.
+                    // The embedded `committed` event is the journal's
+                    // only source of them, so a committed job's
+                    // terminal event survives a worker SIGKILLed
+                    // before its stream is scraped again.
+                    let committed = table.commit(lease_id, result) == CommitOutcome::Committed;
                     if let (Some(journal), Some(ev)) = (journal.as_mut(), event.as_ref()) {
-                        journal.ingest_one(&addr, ev);
+                        journal.ingest_commit(&addr, ev, committed);
                     }
-                    if table.commit(lease_id, result) == CommitOutcome::Committed {
+                    if committed {
                         if let (Some(c), Some(trace)) = (capture.as_ref(), trace.as_ref()) {
                             c.write_segment(lease_id, &addr, trace, bracket, false);
                         }
@@ -837,10 +860,10 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
                 if let (Some(c), Some(trace)) = (capture.as_ref(), trace.as_ref()) {
                     c.write_segment(lease_id, addr, trace, None, true);
                 }
+                let committed = table.commit(lease_id, result) == CommitOutcome::Committed;
                 if let (Some(journal), Some(ev)) = (journal.as_mut(), event.as_ref()) {
-                    journal.ingest_one(addr, ev);
+                    journal.ingest_commit(addr, ev, committed);
                 }
-                let _ = table.commit(lease_id, result);
                 false
             }
             PollVerdict::Alive => true,
@@ -875,10 +898,11 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
         std::thread::sleep(Duration::from_millis(cfg.poll_ms.max(10)));
     };
 
-    // Final drain: trailing events emitted after the last in-loop
-    // scrape (typically the winning jobs' committed events) get one
-    // more chance to land in the journal; dead workers just fail the
-    // connect and are skipped.
+    // Final drain: events emitted after the last in-loop scrape (such
+    // as the winning jobs' `flip_found`) get one more chance to land
+    // in the journal, and each cursor moves past the `committed`
+    // events the Done polls already journaled; dead workers just fail
+    // the connect and are skipped.
     if let Some(journal) = journal.as_mut() {
         for worker in &workers {
             scrape_events(journal, cfg.progress.as_ref(), &worker.addr, io_timeout);
@@ -1039,6 +1063,46 @@ mod tests {
         assert_eq!(statuses[0], &ModuleStatus::Succeeded);
         assert!(matches!(statuses[1], ModuleStatus::Quarantined { attempts: 1, .. }));
         assert!(statuses[2..].iter().all(|s| matches!(s, ModuleStatus::Cancelled { .. })));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_takes_committed_events_only_from_committed_polls() {
+        let dir = std::env::temp_dir().join(format!("rh-fleet-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let ev = |seq, lease_id, kind| JobEvent {
+            seq,
+            lease_id,
+            kind,
+            module: "A0".to_string(),
+            ts_us: seq,
+            value: 0,
+            detail: String::new(),
+            worker: String::new(),
+        };
+        let mut journal = FleetJournal::open(&path);
+        // Lease 7 ran on w1 but lost its module to a re-dispatch: its
+        // stream copy and its stale poll copy both stay out.
+        journal.ingest_batch("w1", &[ev(1, 7, EventKind::Started), ev(2, 7, EventKind::Committed)]);
+        assert_eq!(journal.cursor("w1"), 2, "a stream committed copy still advances the cursor");
+        journal.ingest_commit("w1", &ev(2, 7, EventKind::Committed), false);
+        // Lease 8 won on w2: its stream copy arrives before the poll
+        // and must not make the committed poll copy a duplicate.
+        journal.ingest_batch("w2", &[ev(1, 8, EventKind::Committed)]);
+        journal.ingest_commit("w2", &ev(1, 8, EventKind::Committed), true);
+        journal.ingest_batch("w2", &[ev(1, 8, EventKind::Committed)]);
+        assert_eq!(journal.cursor("w2"), 1);
+        drop(journal);
+
+        let parsed = stream::parse_events(&std::fs::read_to_string(&path).unwrap());
+        let journaled: Vec<(u64, EventKind, &str)> =
+            parsed.events.iter().map(|e| (e.lease_id, e.kind, e.worker.as_str())).collect();
+        assert_eq!(
+            journaled,
+            vec![(7, EventKind::Started, "w1"), (8, EventKind::Committed, "w2")]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -389,6 +389,8 @@ mod tests {
         };
         let err = http_get(&format!("127.0.0.1:{port}"), "/metrics", Duration::from_millis(500));
         assert!(err.is_err(), "connect to a closed port should fail");
+        let err = http_get("not-an-addr", "/metrics", Duration::from_millis(100));
+        assert!(err.is_err(), "an unresolvable address should fail");
     }
 
     /// The satellite regression: a server that drips one byte at a

@@ -261,6 +261,9 @@ pub const WORKER_EVENTS_POLLS: &str = "worker.events.polls";
 pub const FLEET_JOURNAL_EVENTS: &str = "fleet.journal.events";
 /// Redelivered events the journal rejected via `(lease_id, seq)`.
 pub const FLEET_JOURNAL_DUPLICATES: &str = "fleet.journal.duplicates";
+/// `committed` copies from Done polls whose commit the job table
+/// refused as stale or duplicate; never journaled.
+pub const FLEET_JOURNAL_STALE_TERMINALS: &str = "fleet.journal.stale_terminals";
 /// Gauge: worst per-worker stream lag (`last_seq - acked_seq`).
 pub const FLEET_JOURNAL_LAG: &str = "fleet.journal.lag";
 /// Worker `/metrics` scrapes merged into the federated exposition.
@@ -391,6 +394,7 @@ pub fn all() -> &'static [&'static str] {
         WORKER_EVENTS_POLLS,
         FLEET_JOURNAL_EVENTS,
         FLEET_JOURNAL_DUPLICATES,
+        FLEET_JOURNAL_STALE_TERMINALS,
         FLEET_JOURNAL_LAG,
         FLEET_FEDERATION_SCRAPES,
         FLEET_FEDERATION_ERRORS,

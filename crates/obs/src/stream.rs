@@ -19,17 +19,18 @@
 //! them instead of failing) because a journal cut mid-record by a
 //! crash, or a batch truncated by a fault-injected link, must never
 //! wedge analysis. The write side is strict: one event per line, keys
-//! in fixed order, strings JSON-escaped.
+//! in fixed order, strings JSON-escaped. [`JobEvent::to_json`] and
+//! [`JobEvent::from_json`] are the only encoder and decoder; every
+//! transport (stream, journal, poll reply) goes through them.
 //!
 //! Ring overflow drops the *oldest* events (the newest are the ones a
 //! live consumer is about to read) and counts the loss; a consumer
 //! detects the gap as a jump in `seq` and the drop count is exposed
 //! as `worker.events.dropped`.
 
-use crate::analyze::{parse_json, Json};
 use crate::names;
+use serde::Value;
 use std::collections::{HashSet, VecDeque};
-use std::fmt::Write as _;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -131,73 +132,54 @@ pub struct JobEvent {
     pub worker: String,
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl JobEvent {
-    /// Renders the event as one JSONL line (trailing newline
-    /// included). `value`, `detail`, and `worker` are omitted when
-    /// they hold their defaults to keep high-rate streams tight.
+    /// The event as a JSON object: the one encoder behind the
+    /// `/events` JSONL, the fleet journal and the terminal copy a
+    /// worker embeds in its poll reply. Keys come in fixed order;
+    /// `value`, `detail`, and `worker` are omitted when they hold
+    /// their defaults to keep high-rate streams tight.
     #[must_use]
-    pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(96);
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"lease_id\":{},\"kind\":\"{}\",\"module\":",
-            self.seq,
-            self.lease_id,
-            self.kind.as_str()
-        );
-        push_json_str(&mut out, &self.module);
-        let _ = write!(out, ",\"ts_us\":{}", self.ts_us);
+    pub fn to_json(&self) -> Value {
+        let mut pairs = vec![
+            ("seq".to_string(), Value::U64(self.seq)),
+            ("lease_id".to_string(), Value::U64(self.lease_id)),
+            ("kind".to_string(), Value::Str(self.kind.as_str().to_string())),
+            ("module".to_string(), Value::Str(self.module.clone())),
+            ("ts_us".to_string(), Value::U64(self.ts_us)),
+        ];
         if self.value != 0 {
-            let _ = write!(out, ",\"value\":{}", self.value);
+            pairs.push(("value".to_string(), Value::U64(self.value)));
         }
         if !self.detail.is_empty() {
-            out.push_str(",\"detail\":");
-            push_json_str(&mut out, &self.detail);
+            pairs.push(("detail".to_string(), Value::Str(self.detail.clone())));
         }
         if !self.worker.is_empty() {
-            out.push_str(",\"worker\":");
-            push_json_str(&mut out, &self.worker);
+            pairs.push(("worker".to_string(), Value::Str(self.worker.clone())));
         }
-        out.push_str("}\n");
-        out
+        Value::Object(pairs)
     }
 
-    /// Parses one event from an already-parsed JSON record. `None`
+    /// Renders the event as one compact JSONL line (trailing newline
+    /// included).
+    #[must_use]
+    pub fn to_json_line(&self) -> String {
+        format!("{}\n", self.to_json())
+    }
+
+    /// The one decoder: parses an event from a JSON record. `None`
     /// when required fields are missing/ill-typed or the kind is
     /// unknown.
     #[must_use]
-    pub fn from_json(rec: &Json) -> Option<Self> {
-        let seq = rec.get("seq")?.as_u64()?;
-        let lease_id = rec.get("lease_id")?.as_u64()?;
-        let kind = EventKind::parse(rec.get("kind")?.as_str()?)?;
-        let ts_us = rec.get("ts_us")?.as_u64()?;
+    pub fn from_json(rec: &Value) -> Option<Self> {
         Some(JobEvent {
-            seq,
-            lease_id,
-            kind,
-            module: rec.get("module").and_then(Json::as_str).unwrap_or("").to_string(),
-            ts_us,
-            value: rec.get("value").and_then(Json::as_u64).unwrap_or(0),
-            detail: rec.get("detail").and_then(Json::as_str).unwrap_or("").to_string(),
-            worker: rec.get("worker").and_then(Json::as_str).unwrap_or("").to_string(),
+            seq: rec.field("seq").as_u64()?,
+            lease_id: rec.field("lease_id").as_u64()?,
+            kind: EventKind::parse(rec.field("kind").as_str()?)?,
+            module: rec.field("module").as_str().unwrap_or("").to_string(),
+            ts_us: rec.field("ts_us").as_u64()?,
+            value: rec.field("value").as_u64().unwrap_or(0),
+            detail: rec.field("detail").as_str().unwrap_or("").to_string(),
+            worker: rec.field("worker").as_str().unwrap_or("").to_string(),
         })
     }
 }
@@ -222,7 +204,7 @@ pub fn parse_events(text: &str) -> ParsedEvents {
         if line.trim().is_empty() {
             continue;
         }
-        match parse_json(line).ok().as_ref().and_then(JobEvent::from_json) {
+        match line.parse::<Value>().ok().as_ref().and_then(JobEvent::from_json) {
             Some(ev) => out.events.push(ev),
             None => out.skipped += 1,
         }
@@ -493,14 +475,41 @@ mod tests {
             worker: String::new(),
         };
         let line = ev.to_json_line();
+        // The journal format, byte for byte: fixed key order, compact,
+        // control characters escaped.
+        assert_eq!(
+            line,
+            concat!(
+                r#"{"seq":42,"lease_id":16777217,"kind":"failed","module":"B3","ts_us":1234,"#,
+                r#""value":9,"detail":"host \"link\"\nreset\t\u0001"}"#,
+                "\n"
+            )
+        );
         let parsed = parse_events(&line);
         assert_eq!(parsed.skipped, 0);
         assert_eq!(parsed.events, vec![ev.clone()]);
         // Journal attribution survives too.
         let journal = journal_line("127.0.0.1:9", &ev);
+        assert_eq!(journal, format!("{},\"worker\":\"127.0.0.1:9\"}}\n", &line[..line.len() - 2]));
         let entry = &parse_events(&journal).events[0];
         assert_eq!(entry.worker, "127.0.0.1:9");
         assert_eq!(entry.detail, ev.detail);
+        // Lease ids above i64::MAX are read back exactly.
+        let big = JobEvent {
+            lease_id: (1 << 63) + 1,
+            kind: EventKind::Committed,
+            value: 0,
+            detail: String::new(),
+            ..ev
+        };
+        let line = big.to_json_line();
+        assert_eq!(
+            line,
+            r#"{"seq":42,"lease_id":9223372036854775809,"kind":"committed","module":"B3","ts_us":1234}"#
+                .to_string()
+                + "\n"
+        );
+        assert_eq!(parse_events(&line).events, vec![big]);
     }
 
     #[test]

@@ -33,6 +33,7 @@ const PINS: &[(&str, Faults, &str)] = &[
     ("fig7", Some(("dead-module", 5)), "def624e591493186"),
     ("fig4", Some(("thermal", 2)), "644dad571da11cef"),
     ("fig7", Some(("thermal", 2)), "3e18f9bba361d967"),
+    ("attack2", None, "0385423dfd5a0e1c"),
 ];
 
 #[test]
