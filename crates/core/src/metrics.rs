@@ -162,6 +162,24 @@ impl Characterizer {
             .sum())
     }
 
+    /// The preamble of every double-sided test: writes the victim's
+    /// neighborhood and hammers both of its physical neighbors
+    /// `hammers` times at the given timings.
+    fn hammer_victim(
+        &mut self,
+        victim_phys: RowAddr,
+        pattern: DataPattern,
+        hammers: u64,
+        t_on: Option<Picos>,
+        t_off: Option<Picos>,
+    ) -> Result<(), CharError> {
+        self.write_neighborhood(victim_phys, pattern)?;
+        let left = self.mapping.physical_to_logical(RowAddr(victim_phys.0 - 1));
+        let right = self.mapping.physical_to_logical(RowAddr(victim_phys.0 + 1));
+        self.bench.hammer_double_sided(self.bank, left, right, hammers, t_on, t_off)?;
+        Ok(())
+    }
+
     /// One double-sided hammer test (§4.2): writes the neighborhood,
     /// hammers both physical neighbors of the victim `hammers` times at
     /// the given timings, and reads back the double-sided victim and
@@ -179,10 +197,7 @@ impl Characterizer {
         t_off: Option<Picos>,
     ) -> Result<BerMeasurement, CharError> {
         rh_obs::counter(names::CORE_BER_MEASUREMENTS, 1);
-        self.write_neighborhood(victim_phys, pattern)?;
-        let left = self.mapping.physical_to_logical(RowAddr(victim_phys.0 - 1));
-        let right = self.mapping.physical_to_logical(RowAddr(victim_phys.0 + 1));
-        self.bench.hammer_double_sided(self.bank, left, right, hammers, t_on, t_off)?;
+        self.hammer_victim(victim_phys, pattern, hammers, t_on, t_off)?;
         Ok(BerMeasurement {
             victim: self.count_flips(victim_phys, 0, pattern)?,
             left2: self.count_flips(victim_phys, -2, pattern)?,
@@ -214,10 +229,7 @@ impl Characterizer {
         pattern: DataPattern,
         hammers: u64,
     ) -> Result<Vec<(u32, u8)>, CharError> {
-        self.write_neighborhood(victim_phys, pattern)?;
-        let left = self.mapping.physical_to_logical(RowAddr(victim_phys.0 - 1));
-        let right = self.mapping.physical_to_logical(RowAddr(victim_phys.0 + 1));
-        self.bench.hammer_double_sided(self.bank, left, right, hammers, None, None)?;
+        self.hammer_victim(victim_phys, pattern, hammers, None, None)?;
         let logical = self.mapping.physical_to_logical(victim_phys);
         let read = self.bench.module_mut().read_row_direct(self.bank, logical)?;
         let expect = pattern.row_fill(victim_phys, 0, read.len());
@@ -234,7 +246,14 @@ impl Characterizer {
     }
 
     /// Whether a single double-sided test at `hammers` flips any bit in
-    /// the victim row.
+    /// the victim row: [`measure_ber`]'s test, sensing only the victim.
+    /// The single-sided victims at ±2 are restored unsensed, in the
+    /// order `measure_ber` reads them, so the fault model ends exactly
+    /// where `measure_ber` leaves it. Their stored bytes are dropped
+    /// until the next write, so nothing can read what the skipped
+    /// senses would have changed.
+    ///
+    /// [`measure_ber`]: Characterizer::measure_ber
     fn flips_at(
         &mut self,
         victim_phys: RowAddr,
@@ -243,7 +262,15 @@ impl Characterizer {
         t_on: Option<Picos>,
         t_off: Option<Picos>,
     ) -> Result<bool, CharError> {
-        Ok(self.measure_ber(victim_phys, pattern, hammers, t_on, t_off)?.victim > 0)
+        rh_obs::counter(names::CORE_BER_MEASUREMENTS, 1);
+        self.hammer_victim(victim_phys, pattern, hammers, t_on, t_off)?;
+        let flipped = self.count_flips(victim_phys, 0, pattern)? > 0;
+        for d in [-2i64, 2] {
+            let phys = RowAddr((victim_phys.0 as i64 + d) as u32);
+            let logical = self.mapping.physical_to_logical(phys);
+            self.bench.module_mut().restore_unsensed(self.bank, logical)?;
+        }
+        Ok(flipped)
     }
 
     /// The paper's HCfirst binary search (§4.2): start at 256 K
@@ -260,10 +287,24 @@ impl Characterizer {
         t_on: Option<Picos>,
         t_off: Option<Picos>,
     ) -> Result<Option<u64>, CharError> {
+        self.search(victim_phys, |ch, hammers| {
+            ch.flips_at(victim_phys, pattern, hammers, t_on, t_off)
+        })
+    }
+
+    /// [`hc_first`]'s binary search over any probe answering "does
+    /// `hammers` flip the victim?".
+    ///
+    /// [`hc_first`]: Characterizer::hc_first
+    fn search(
+        &mut self,
+        victim_phys: RowAddr,
+        mut probe: impl FnMut(&mut Self, u64) -> Result<bool, CharError>,
+    ) -> Result<Option<u64>, CharError> {
         let mut span = rh_obs::span!(names::CORE_HC_FIRST, row = victim_phys.0);
         let mut probes = 1u64;
         let first_probe = rh_obs::timer!(names::CORE_HC_FIRST_PROBE_NS);
-        let survives = !self.flips_at(victim_phys, pattern, HC_FIRST_CAP, t_on, t_off)?;
+        let survives = !probe(self, HC_FIRST_CAP)?;
         drop(first_probe);
         if survives {
             span.set("probes", probes);
@@ -279,14 +320,14 @@ impl Characterizer {
             // stack, so waiting for its natural end would make
             // shutdown latency a multiple of the probe time.
             self.bench.check_cancelled("hc_first search")?;
-            let probe = hc.clamp(HC_FIRST_ACCURACY as i64, HC_FIRST_CAP as i64);
+            let hammers = hc.clamp(HC_FIRST_ACCURACY as i64, HC_FIRST_CAP as i64);
             probes += 1;
             let _probe_timer = rh_obs::timer!(names::CORE_HC_FIRST_PROBE_NS);
-            if self.flips_at(victim_phys, pattern, probe as u64, t_on, t_off)? {
-                best = best.min(probe);
-                hc = probe - delta;
+            if probe(self, hammers as u64)? {
+                best = best.min(hammers);
+                hc = hammers - delta;
             } else {
-                hc = probe + delta;
+                hc = hammers + delta;
             }
             delta /= 2;
         }
@@ -319,7 +360,9 @@ impl Characterizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rh_dram::{Manufacturer, ModuleConfig};
+    use proptest::prelude::*;
+    use rh_dram::timing::{t_agg_off_sweep, t_agg_on_sweep};
+    use rh_dram::{DramError, Manufacturer, ModuleConfig, PatternKind};
     use rh_faultmodel::{MfrProfile, RowHammerModel};
 
     fn characterizer(mfr: Manufacturer) -> Characterizer {
@@ -498,6 +541,88 @@ mod tests {
             }
         }
         assert!(seen_flip, "no sampled row ever flipped; the sweep is vacuous");
+    }
+
+    /// [`Characterizer::hc_first`]'s search driven by the reference
+    /// probe: the full three-row `measure_ber`.
+    fn reference_hc_first(
+        ch: &mut Characterizer,
+        victim: RowAddr,
+        pattern: DataPattern,
+        t_on: Option<Picos>,
+        t_off: Option<Picos>,
+    ) -> Result<Option<u64>, CharError> {
+        ch.search(victim, |ch, hammers| {
+            Ok(ch.measure_ber(victim, pattern, hammers, t_on, t_off)?.victim > 0)
+        })
+    }
+
+    /// Standard timings, then each tAggOn and each tAggOff sweep point
+    /// with the other timing left standard.
+    fn timings() -> Vec<(Option<Picos>, Option<Picos>)> {
+        let on = t_agg_on_sweep().into_iter().map(|t| (Some(t), None));
+        let off = t_agg_off_sweep().into_iter().map(|t| (None, Some(t)));
+        std::iter::once((None, None)).chain(on).chain(off).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // The one-read probe against the `measure_ber` probe on twin
+        // modules: the same answer, the same clock, and the same model
+        // state, as a witness test run on both twins afterwards sees it
+        // (its threshold noise depends on the trial nonce). On the fast
+        // twin the ±2 rows hold no bytes until they are written again.
+        #[test]
+        fn hc_first_matches_the_measure_ber_reference(
+            mfr in prop::sample::select(Manufacturer::ALL.to_vec()),
+            celsius in 50.0f64..=90.0,
+            kind in prop::sample::select(PatternKind::ALL.to_vec()),
+            pattern_seed in any::<u64>(),
+            (t_on, t_off) in prop::sample::select(timings()),
+            victim in 2u32..32_766,
+        ) {
+            let victim = RowAddr(victim);
+            let pattern = DataPattern::new(kind, pattern_seed);
+            let case =
+                format!("{mfr} {celsius} °C {pattern:?} {t_on:?}/{t_off:?} row {}", victim.0);
+            let mut fast = characterizer(mfr);
+            let mut reference = characterizer(mfr);
+            for ch in [&mut fast, &mut reference] {
+                ch.set_temperature(celsius).unwrap();
+            }
+            let hc = fast.hc_first(victim, pattern, t_on, t_off).unwrap();
+            let want = reference_hc_first(&mut reference, victim, pattern, t_on, t_off).unwrap();
+            prop_assert_eq!(hc, want, "{case}");
+            prop_assert_eq!(
+                fast.bench().module().now(),
+                reference.bench().module().now(),
+                "{case}"
+            );
+            for d in [-2i64, 2] {
+                let logical = fast.logical_of(RowAddr((victim.0 as i64 + d) as u32));
+                let bank = fast.bank();
+                prop_assert!(
+                    matches!(
+                        fast.bench().module().peek_row(bank, logical),
+                        Err(DramError::UninitializedRow { .. })
+                    ),
+                    "{case}: row {d:+} still readable"
+                );
+                prop_assert!(reference.bench().module().peek_row(bank, logical).is_ok(), "{case}");
+            }
+            let hammers = hc.unwrap_or(HC_FIRST_CAP);
+            prop_assert_eq!(
+                fast.measure_ber(victim, pattern, hammers, t_on, t_off).unwrap(),
+                reference.measure_ber(victim, pattern, hammers, t_on, t_off).unwrap(),
+                "{case}"
+            );
+            prop_assert_eq!(
+                fast.flipped_cells(victim, pattern, hammers).unwrap(),
+                reference.flipped_cells(victim, pattern, hammers).unwrap(),
+                "{case}"
+            );
+        }
     }
 
     #[test]

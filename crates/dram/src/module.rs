@@ -433,6 +433,33 @@ impl DramModule {
         Ok(self.storage[&(bank.0, phys.0)].to_vec())
     }
 
+    /// Restores a row as a read would, without sensing it: the model
+    /// sees exactly the restore a [`read_row_direct`] ends with
+    /// (disturbance cleared, retention clock restarted, one trial
+    /// consumed), but no flip is materialized. The row's stored bytes
+    /// are dropped, because they no longer say what a read would have
+    /// returned: until [`write_row_direct`] writes the row again, every
+    /// read of it ([`read_row_direct`], [`peek_row`], a command-path
+    /// `Rd`) fails with [`DramError::UninitializedRow`].
+    ///
+    /// [`read_row_direct`]: DramModule::read_row_direct
+    /// [`write_row_direct`]: DramModule::write_row_direct
+    /// [`peek_row`]: DramModule::peek_row
+    ///
+    /// # Errors
+    ///
+    /// Range errors for bad addresses.
+    pub fn restore_unsensed(&mut self, bank: BankId, row: RowAddr) -> Result<(), DramError> {
+        self.check_bank(bank)?;
+        self.check_row(row)?;
+        let phys = self.cfg.mapping.logical_to_physical(row);
+        rh_obs::counter(names::DRAM_ROW_RESTORE_UNSENSED, 1);
+        self.storage.remove(&(bank.0, phys.0));
+        let now = self.now;
+        self.model.on_restore(bank, phys, now);
+        Ok(())
+    }
+
     /// Reads the stored bytes of a row *without* sensing side effects
     /// (no flip materialization, no restore). Oracle-style access for
     /// tests and debugging.
@@ -695,6 +722,21 @@ mod tests {
         assert_eq!(beat, [9, 8, 7, 6, 5, 4, 3, 2]);
         at += t.t_ras;
         m.issue(&TimedCommand { at, cmd: Command::Pre { bank: b } }).unwrap();
+    }
+
+    #[test]
+    fn restored_unsensed_row_fails_command_reads() {
+        let mut m = module();
+        let t = m.config().timing;
+        let b = BankId(0);
+        m.write_row_direct(b, RowAddr(5), &vec![0x11u8; m.row_bytes()]).unwrap();
+        m.restore_unsensed(b, RowAddr(5)).unwrap();
+        assert_eq!(m.rows_stored(), 0);
+        m.issue(&TimedCommand { at: 0, cmd: Command::Act { bank: b, row: RowAddr(5) } }).unwrap();
+        let e = m
+            .issue(&TimedCommand { at: t.t_rcd, cmd: Command::Rd { bank: b, column: 0 } })
+            .unwrap_err();
+        assert!(matches!(e, DramError::UninitializedRow { .. }));
     }
 
     #[test]

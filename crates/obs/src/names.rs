@@ -73,6 +73,9 @@ pub const DRAM_HAMMER_FLUSHED: &str = "dram.hammer.flushed";
 pub const DRAM_ROW_WRITE: &str = "dram.row.write";
 /// Full-row reads through the direct interface.
 pub const DRAM_ROW_READ: &str = "dram.row.read";
+/// Rows restored without a sense (`DramModule::restore_unsensed`):
+/// reads an experiment skipped because it discards their contents.
+pub const DRAM_ROW_RESTORE_UNSENSED: &str = "dram.row.restore_unsensed";
 /// Gauge: rows currently materialized in module storage.
 pub const DRAM_ROWS_STORED: &str = "dram.rows_stored";
 /// Timing-constraint violations (counter and event share the name).
@@ -313,6 +316,7 @@ pub fn all() -> &'static [&'static str] {
         DRAM_HAMMER_FLUSHED,
         DRAM_ROW_WRITE,
         DRAM_ROW_READ,
+        DRAM_ROW_RESTORE_UNSENSED,
         DRAM_ROWS_STORED,
         DRAM_TIMING_VIOLATION,
         DRAM_HAMMER_NS,
