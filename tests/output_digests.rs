@@ -54,6 +54,29 @@ const HC_FIRST_PINS: &[(&str, Faults, &str)] = &[
     ("ablation", None, "f817dd90a10c0d7f"),
 ];
 
+/// The remaining fault-free targets: tables, the cheap figures, the §8
+/// defense/cost studies and the sweeps. Their own test, so the three
+/// tables run in parallel. fig3 renders the same campaign as table3,
+/// so it shares table3's digest; table1 and fig6 are text-only, so
+/// theirs is the digest of `{}`.
+const REST_PINS: &[(&str, Faults, &str)] = &[
+    ("fig3", None, "f842611a26475112"),
+    ("fig6", None, "08f44b07b5901a25"),
+    ("fig12", None, "8a23a3549cb2f4f8"),
+    ("fig13", None, "ec081065f7d76177"),
+    ("table1", None, "08f44b07b5901a25"),
+    ("table2", None, "da1b8605263448e8"),
+    ("defense1", None, "d410ebc0adbf7c78"),
+    ("defense3", None, "0919c16390da78cf"),
+    ("defense4", None, "ef6954d8a2f241d6"),
+    ("defense5", None, "74af61ba6e7456e4"),
+    ("defense6", None, "34d9012706db903a"),
+    ("chipkill", None, "140c6f25daff5522"),
+    ("overhead", None, "85eeb6346462a859"),
+    ("patterns", None, "d2734d23bb96e05d"),
+    ("hcsweep", None, "8218b0c21b606f59"),
+];
+
 /// Runs every pin at smoke and fails with one line per moved digest.
 fn check_pins(pins: &[(&str, Faults, &str)]) {
     let mut diffs = Vec::new();
@@ -82,4 +105,9 @@ fn smoke_outputs_match_their_pinned_digests() {
 #[test]
 fn hc_first_consumers_match_their_pinned_digests() {
     check_pins(HC_FIRST_PINS);
+}
+
+#[test]
+fn remaining_targets_match_their_pinned_digests() {
+    check_pins(REST_PINS);
 }
