@@ -17,11 +17,11 @@
 //! repro serve [--addr ADDR] [--slots N] [--queue N] [--retry-after SECS]
 //!             [--net-fault-scenario NAME|FILE.json] [--net-fault-seed N]
 //! repro fleet [--worker ADDR]... [--spawn N] [--seed N] [--scale S] [--modules N]
-//!             [--workload NAME] [--lease-ms N] [--poll-ms N] [--max-attempts N]
+//!             [--lease-ms N] [--poll-ms N] [--max-attempts N]
 //!             [--checkpoint FILE] [--resume] [--json]
 //!             [--net-fault-scenario NAME|FILE.json] [--net-fault-seed N]
 //!             [--serve-metrics ADDR] [--metrics-interval SECS] [--trace-dir DIR]
-//!             [--journal FILE.jsonl]
+//!             [--journal FILE.jsonl] <target>
 //! repro analyze --fleet TRACE_DIR    # stitch a multi-process fleet trace
 //! repro analyze replay TOKEN         # re-execute one committed job and diff
 //! repro analyze journal JOURNAL.jsonl [--worker ADDR] [--module ID] [--kind KIND]
@@ -92,13 +92,16 @@
 //! coordinator (POST `/job`, polled via GET `/job?lease=N`) next to
 //! the usual `/metrics`, `/progress`, and `/healthz` endpoints. The
 //! bound address is announced on stderr as `worker serving on
-//! http://...`. `repro fleet` runs the coordinator: it leases one job
-//! per module to the given (`--worker`) or spawned (`--spawn N`)
-//! workers, treats the poll as a heartbeat, re-dispatches expired
-//! leases with bounded backoff, commits exactly one result per module
-//! (late zombie replies are rejected), and with `--checkpoint` +
-//! `--resume` survives its own crash by re-running only in-flight
-//! leases. See DESIGN.md §11 for the lease state machine.
+//! http://...`. `repro fleet <target>` runs the coordinator over one
+//! campaign-backed target: it leases one job per module of that target
+//! (the modules `repro <target>` would run) to the given (`--worker`)
+//! or spawned (`--spawn N`) workers, treats the poll as a heartbeat,
+//! re-dispatches expired leases with bounded backoff, commits exactly
+//! one result per module (late zombie replies are rejected), and with
+//! `--checkpoint` + `--resume` survives its own crash by re-running
+//! only in-flight leases. It prints what `repro <target>` prints,
+//! followed by the `fleet:` summary and `replay` lines. See DESIGN.md
+//! §11 for the lease state machine.
 //!
 //! `--net-fault-scenario` arms seeded *network* chaos (a
 //! `NetFaultPlan` preset — `none`, `flaky-link`, `slow-link`,
@@ -136,7 +139,8 @@
 //! modules.
 
 use rh_bench::{
-    perf, run_soak_tracked, run_target, targets, ObsSetup, RunConfig, TelemetryOptions,
+    fleet_targets, perf, run_soak_tracked, run_target, targets, ObsSetup, RunConfig, RunOutput,
+    TelemetryOptions,
 };
 use rh_core::Scale;
 use rh_obs::analyze;
@@ -165,21 +169,37 @@ fn usage() -> ! {
          \x20      repro serve [--addr ADDR] [--slots N] [--queue N] [--retry-after SECS]\n\
          \x20            [--net-fault-scenario NAME|FILE.json] [--net-fault-seed N]\n\
          \x20      repro fleet [--worker ADDR]... [--spawn N] [--seed N] [--scale S]\n\
-         \x20            [--modules N] [--workload NAME] [--lease-ms N] [--poll-ms N]\n\
+         \x20            [--modules N] [--lease-ms N] [--poll-ms N]\n\
          \x20            [--max-attempts N] [--checkpoint FILE] [--resume] [--json]\n\
          \x20            [--net-fault-scenario NAME|FILE.json] [--net-fault-seed N]\n\
          \x20            [--serve-metrics ADDR] [--metrics-interval SECS] [--trace-dir DIR]\n\
-         \x20            [--journal FILE.jsonl]\n\
+         \x20            [--journal FILE.jsonl] <fleet target>\n\
          fault scenarios: none | flaky-host | thermal | dead-module | hung-module | chaos | <plan.json>\n\
          net-fault scenarios: none | flaky-link | slow-link | lossy-link | chaos | <plan.json>\n\
          targets: {} | defense-matrix | all\n\
          bench workloads: {}\n\
-         fleet workloads: {}",
+         fleet targets: {}",
         targets().join(" | "),
         perf::workload_names().join(" | "),
-        rh_bench::fleet_workloads().join(" | ")
+        fleet_targets().join(" | ")
     );
     std::process::exit(2);
+}
+
+/// The value of `--scale`.
+fn parse_scale(arg: Option<String>) -> Scale {
+    match arg.as_deref() {
+        Some("smoke") => Scale::Smoke,
+        Some("default") => Scale::Default,
+        Some("paper") => Scale::Paper,
+        _ => usage(),
+    }
+}
+
+/// Prints one target's text report, as `repro <target>` does.
+fn print_text(out: &RunOutput) {
+    println!("==== {} ====", out.target);
+    println!("{}", out.text);
 }
 
 /// `repro bench`: run the canonical perf workloads and optionally gate
@@ -191,14 +211,7 @@ fn bench_main(mut args: impl Iterator<Item = String>) -> ExitCode {
     let mut threshold_pct = 10.0f64;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--scale" => {
-                cfg.scale = match args.next().as_deref() {
-                    Some("smoke") => Scale::Smoke,
-                    Some("default") => Scale::Default,
-                    Some("paper") => Scale::Paper,
-                    _ => usage(),
-                }
-            }
+            "--scale" => cfg.scale = parse_scale(args.next()),
             "--seed" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(s) => cfg.seed = s,
                 None => usage(),
@@ -408,36 +421,16 @@ fn replay_main(argv: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Some(mfr) = rh_dram::Manufacturer::ALL.into_iter().find(|m| format!("{m:?}") == token.mfr)
-    else {
-        eprintln!("repro analyze replay: unknown manufacturer '{}'", token.mfr);
-        return ExitCode::FAILURE;
-    };
-    let scale = match token.scale.as_str() {
-        "Smoke" => Scale::Smoke,
-        "Default" => Scale::Default,
-        "Paper" => Scale::Paper,
-        other => {
-            eprintln!("repro analyze replay: unknown scale '{other}'");
-            return ExitCode::FAILURE;
-        }
-    };
+    let job = &token.job;
     eprintln!(
-        "replay: {} {} index {} seed {} scale {} (run under net-plan {} seed {}, trace {:032x})",
-        token.workload, token.mfr, token.index, token.seed, token.scale,
+        "replay: {} {:?} index {} seed {} scale {:?} (run under net-plan {} seed {}, trace {:032x})",
+        job.target, job.mfr, job.index, job.seed, job.scale,
         token.net_plan, token.net_seed, token.trace_id,
     );
-    let payload = rh_bench::job_payload(
-        mfr,
-        token.index as usize,
-        token.seed,
-        scale,
-        &token.workload,
-    );
-    // Single-process, fault-free: the job itself is deterministic in
-    // its payload, so the net-fault posture of the original run must
-    // not change the committed bits.
-    let result = match rh_bench::execute_payload(&payload, &rh_softmc::CancelToken::new()) {
+    // Single-process, fault-free: the job itself is deterministic, so
+    // the net-fault posture of the original run must not change the
+    // committed bits.
+    let result = match rh_bench::run_job(job, &rh_softmc::CancelToken::new()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("repro analyze replay: execution failed: {e}");
@@ -584,6 +577,7 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ExitCode {
 /// workers and print the fleet report.
 fn fleet_main(mut args: impl Iterator<Item = String>) -> ExitCode {
     let mut cfg = rh_bench::FleetConfig::default();
+    let mut target: Option<String> = None;
     let mut resume = false;
     let mut json = false;
     let mut telemetry = TelemetryOptions::default();
@@ -603,22 +597,9 @@ fn fleet_main(mut args: impl Iterator<Item = String>) -> ExitCode {
                 Some(s) => cfg.seed = s,
                 None => usage(),
             },
-            "--scale" => {
-                cfg.scale = match args.next().as_deref() {
-                    Some("smoke") => Scale::Smoke,
-                    Some("default") => Scale::Default,
-                    Some("paper") => Scale::Paper,
-                    _ => usage(),
-                }
-            }
+            "--scale" => cfg.scale = parse_scale(args.next()),
             "--modules" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(m) if m >= 1 => cfg.modules_per_mfr = m,
-                _ => usage(),
-            },
-            "--workload" => match args.next() {
-                Some(w) if rh_bench::fleet_workloads().contains(&w.as_str()) => {
-                    cfg.workload = w;
-                }
                 _ => usage(),
             },
             "--lease-ms" => match args.next().and_then(|s| s.parse().ok()) {
@@ -666,9 +647,14 @@ fn fleet_main(mut args: impl Iterator<Item = String>) -> ExitCode {
                 }
                 _ => usage(),
             },
+            other if target.is_none() && fleet_targets().contains(&other) => {
+                target = Some(other.to_string());
+            }
             _ => usage(),
         }
     }
+    let Some(target) = target else { usage() };
+    cfg.target = target;
     if let Some(spec) = net_fault {
         // Default the chaos seed to the run seed so a chaos run is
         // replayable from its command line alone.
@@ -725,6 +711,13 @@ fn fleet_main(mut args: impl Iterator<Item = String>) -> ExitCode {
                     }
                 }
             } else {
+                match rh_bench::fleet_output(&cfg, report) {
+                    Ok(out) => print_text(&out),
+                    Err(e) => {
+                        eprintln!("repro fleet: {e}");
+                        return ExitCode::FAILURE;
+                    }
+                }
                 print!("{}", rh_bench::fleet_text(report));
             }
             if report.is_clean() {
@@ -829,14 +822,7 @@ fn main() -> ExitCode {
     }
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--scale" => {
-                cfg.scale = match args.next().as_deref() {
-                    Some("smoke") => Scale::Smoke,
-                    Some("default") => Scale::Default,
-                    Some("paper") => Scale::Paper,
-                    _ => usage(),
-                }
-            }
+            "--scale" => cfg.scale = parse_scale(args.next()),
             "--seed" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(s) => cfg.seed = s,
                 None => usage(),
@@ -1013,8 +999,7 @@ fn main() -> ExitCode {
                         serde_json::json!({"target": out.target, "data": out.data})
                     );
                 } else {
-                    println!("==== {} ====", out.target);
-                    println!("{}", out.text);
+                    print_text(&out);
                 }
                 // Exit-code hygiene: a "successful" run with
                 // quarantined, timed-out, or cancelled modules is not a

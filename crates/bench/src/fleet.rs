@@ -7,13 +7,12 @@
 //! worker-process spawning, `Retry-After`-honoring backoff, fleet-wide
 //! progress aggregation, and cancellation fan-out. See DESIGN.md §11.
 
-use crate::worker::{fleet_module_id, job_payload};
+use crate::runners::{module_jobs, render_campaign, RunConfig, RunOutput};
 use rh_core::fleet::{
     BreakerPolicy, BreakerState, CircuitBreaker, CommitOutcome, FailOutcome, FleetPolicy,
     FleetReport, JobTable,
 };
 use rh_core::{CharError, ProgressTracker, RetryPolicy, Scale};
-use rh_dram::Manufacturer;
 use rh_obs::faultnet::InstalledPlan;
 use rh_obs::names;
 use rh_obs::stream::{self, EventDedup, EventKind, JobEvent};
@@ -39,11 +38,12 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Experiment scale of every job.
     pub scale: Scale,
-    /// Modules per manufacturer.
+    /// Modules per manufacturer, exactly as `repro --modules` (the
+    /// target decides how many it runs).
     pub modules_per_mfr: usize,
-    /// Workload every module runs (see
-    /// [`crate::worker::fleet_workloads`]).
-    pub workload: String,
+    /// The campaign-backed target whose modules the fleet runs (see
+    /// [`crate::runners::fleet_targets`]).
+    pub target: String,
     /// Lease duration (ms): a worker must finish or be polled alive
     /// within this, or its job is re-dispatched.
     pub lease_ms: u64,
@@ -100,7 +100,7 @@ impl Default for FleetConfig {
             seed: 0,
             scale: Scale::Smoke,
             modules_per_mfr: 1,
-            workload: "row_variation".to_string(),
+            target: "fig11".to_string(),
             lease_ms: 10_000,
             poll_ms: 100,
             suspect_after_misses: 2,
@@ -176,52 +176,26 @@ impl WorkerHealth {
     }
 }
 
-/// The builtin fleet job set: every manufacturer × module index, in
-/// the same order and with the same module ids a single-process
-/// campaign would use.
-fn fleet_jobs(cfg: &FleetConfig) -> Vec<(String, Value)> {
-    let mut jobs = Vec::new();
-    for mfr in Manufacturer::ALL {
-        for index in 0..cfg.modules_per_mfr {
-            jobs.push((
-                fleet_module_id(mfr, index, cfg.seed),
-                job_payload(mfr, index, cfg.seed, cfg.scale, &cfg.workload),
-            ));
-        }
+/// The `repro` configuration of the same run: a fleet run of a target
+/// renders exactly like `repro <target>` under this.
+fn run_config(cfg: &FleetConfig) -> RunConfig {
+    RunConfig {
+        scale: cfg.scale,
+        seed: cfg.seed,
+        modules_per_mfr: cfg.modules_per_mfr,
+        ..RunConfig::default()
     }
-    jobs
 }
 
-/// Runs the same job set as [`run_fleet`] in this process, without
-/// any workers — the determinism oracle: a fleet run (with any amount
-/// of worker death) must produce a bit-identical report.
+/// Renders a fleet run's committed results with its target's own
+/// renderer: the text and data `repro <target>` prints for the same
+/// modules (the `fleet:` lines are [`fleet_text`]'s).
 ///
 /// # Errors
 ///
-/// [`CharError`] from the characterization itself.
-pub fn run_fleet_local(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
-    let mut table = JobTable::new(FleetPolicy {
-        retry: cfg.retry.clone(),
-        lease_ms: u64::MAX / 4,
-        suspect_after_misses: cfg.suspect_after_misses,
-    });
-    for (id, payload) in fleet_jobs(cfg) {
-        table.add_job(id, payload);
-    }
-    while let Some(module) = table.next_ready(0) {
-        let grant = table.grant(&module, "local", 0)?;
-        match crate::worker::execute_payload(&grant.payload, &cfg.cancel) {
-            Ok(result) => {
-                table.commit(grant.lease_id, result);
-            }
-            Err(e) if e.is_cancelled() => return Err(e),
-            Err(e) => {
-                let transient = e.is_transient();
-                table.fail(grant.lease_id, &e.to_string(), transient, 0);
-            }
-        }
-    }
-    Ok(table.into_report())
+/// An unknown target, or a committed result that does not decode.
+pub fn fleet_output(cfg: &FleetConfig, report: &FleetReport) -> Result<RunOutput, CharError> {
+    render_campaign(&cfg.target, &run_config(cfg), report.results.clone(), report.campaign.clone())
 }
 
 /// Spawns one local `repro serve` child and parses its announced
@@ -617,11 +591,14 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, CharError> {
         cfg.net_fault_name.clone().unwrap_or_else(|| "none".to_string()),
         cfg.net_fault.as_ref().filter(|plan| !plan.is_inert()).map_or(0, |plan| plan.seed),
     );
-    let jobs = fleet_jobs(cfg);
-    let ids: Vec<String> = jobs.iter().map(|(id, _)| id.clone()).collect();
-    for (id, payload) in jobs {
-        table.add_job(id, payload);
-    }
+    let ids: Vec<String> = module_jobs(&cfg.target, &run_config(cfg))?
+        .into_iter()
+        .map(|job| {
+            let id = job.module_id();
+            table.add_job(id.clone(), Some(job));
+            id
+        })
+        .collect();
     if let Some(path) = &cfg.checkpoint {
         table.with_checkpoint(path.clone())?;
     }
@@ -986,34 +963,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fleet_jobs_are_stable_and_ordered() {
-        let cfg = FleetConfig { seed: 3, modules_per_mfr: 2, ..FleetConfig::default() };
-        let jobs = fleet_jobs(&cfg);
-        assert_eq!(jobs.len(), 8, "4 manufacturers x 2 modules");
-        let again = fleet_jobs(&cfg);
+    fn fleet_jobs_are_the_local_campaign_modules() {
+        let cfg = FleetConfig { seed: 3, scale: Scale::Smoke, target: "fig4".to_string(), ..FleetConfig::default() };
+        let jobs = module_jobs(&cfg.target, &run_config(&cfg)).unwrap();
+        let local = crate::runners::run_campaign(&cfg.target, &run_config(&cfg)).unwrap();
         assert_eq!(
-            jobs.iter().map(|(id, _)| id.clone()).collect::<Vec<_>>(),
-            again.iter().map(|(id, _)| id.clone()).collect::<Vec<_>>()
+            jobs.iter().map(rh_core::ModuleJob::module_id).collect::<Vec<_>>(),
+            local.report.outcomes.iter().map(|o| o.id.clone()).collect::<Vec<_>>(),
+            "same ids, same order"
         );
-        // Ids are unique.
-        let mut ids: Vec<_> = jobs.iter().map(|(id, _)| id.clone()).collect();
-        ids.sort();
-        ids.dedup();
-        assert_eq!(ids.len(), 8);
-    }
-
-    #[test]
-    fn local_fleet_run_is_deterministic() {
-        let cfg = FleetConfig { seed: 11, ..FleetConfig::default() };
-        let a = run_fleet_local(&cfg).unwrap();
-        let b = run_fleet_local(&cfg).unwrap();
-        assert!(a.is_clean());
-        assert_eq!(a.results.len(), 4);
-        assert_eq!(
-            serde_json::to_string(&a.to_json_value()).unwrap(),
-            serde_json::to_string(&b.to_json_value()).unwrap(),
-            "local oracle must be bit-stable"
-        );
+        // The target decides its module set: fig14 runs at least three
+        // modules per manufacturer.
+        let fig14 = FleetConfig { target: "fig14".to_string(), ..cfg };
+        assert_eq!(module_jobs(&fig14.target, &run_config(&fig14)).unwrap().len(), 12);
     }
 
     #[test]
@@ -1024,13 +986,17 @@ mod tests {
         let ckpt = dir.join("fleet.json");
         let _ = std::fs::remove_file(&ckpt);
         let base = FleetConfig { seed: 5, ..FleetConfig::default() };
-        let ids: Vec<String> = fleet_jobs(&base).into_iter().map(|(id, _)| id).collect();
+        let ids: Vec<String> = module_jobs(&base.target, &run_config(&base))
+            .unwrap()
+            .iter()
+            .map(rh_core::ModuleJob::module_id)
+            .collect();
 
         // A previous run committed the first module and quarantined the
         // second on its first (non-transient) failure.
         let mut table = JobTable::new(FleetPolicy::default());
         for id in &ids {
-            table.add_job(id.as_str(), Value::Null);
+            table.add_job(id.as_str(), None);
         }
         table.with_checkpoint(&ckpt).unwrap();
         let g = table.grant(&ids[0], "w", 0).unwrap();

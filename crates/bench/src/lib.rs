@@ -13,17 +13,16 @@ pub mod soak;
 pub mod top;
 pub mod worker;
 
-pub use fleet::{fleet_text, run_fleet, run_fleet_local, FleetConfig};
-pub use worker::{
-    execute_payload, fleet_module_id, fleet_workloads, job_payload, run_worker, WorkerConfig,
-};
+pub use fleet::{fleet_output, fleet_text, run_fleet, FleetConfig};
+pub use worker::{run_worker, WorkerConfig};
 
 pub use perf::{
     compare_reports, from_json, run_bench, to_json, workload_names, BenchConfig, BenchReport,
     HistSummary, Regression, WorkloadResult,
 };
 pub use runners::{
-    run_defense_matrix, run_target, targets, ObsSetup, RunConfig, RunOutput, TelemetryOptions,
+    fleet_targets, run_campaign, run_defense_matrix, run_job, run_target, targets, ObsSetup,
+    RunConfig, RunOutput, TelemetryOptions,
 };
 pub use soak::{
     run_soak, run_soak_tracked, soak_one, soak_one_tracked, SoakReport, SoakScenario, SoakStats,

@@ -3,15 +3,15 @@
 use rh_attack::{long_open_study, temperature_aware_study, trigger};
 use rh_core::experiments::{dose, rowactive, spatial, temperature};
 use rh_core::{
-    module_id, observations as obs, report, CampaignReport, CampaignRunner, CharError,
-    Characterizer, ModuleTask, ProgressTracker, RetryPolicy, Scale,
+    module_bench, observations as obs, report, CampaignOutput, CampaignReport, CampaignRunner,
+    CharError, Characterizer, ModuleJob, ModuleTask, ProgressTracker, RetryPolicy, Scale,
 };
 use rh_defense::{
     blockhammer_area_pct, cooling, cost, ecc, graphene_area_pct, profiling, retire, scheduler,
     sim::DefenseSim, BlockHammer, Graphene, Para, TargetRowRefresh, ThresholdConfig, Twice,
 };
 use rh_core::ExecutorConfig;
-use rh_dram::{ddr4_modules_of, BankId, Manufacturer, RowAddr};
+use rh_dram::{BankId, Manufacturer, RowAddr};
 use rh_softmc::{CancelToken, FaultPlan, Program, TestBench};
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
@@ -90,6 +90,11 @@ pub struct RunOutput {
     /// static or single-module targets). `repro` keys its exit code on
     /// this: quarantined, timed-out, or cancelled modules are failures.
     pub report: Option<CampaignReport>,
+}
+
+/// The output of a target without a campaign report.
+fn output(target: &'static str, text: String, data: impl Serialize) -> RunOutput {
+    RunOutput { target, text, data: data.to_json_value(), report: None }
 }
 
 /// Live-telemetry sidecar options of one reproduction invocation,
@@ -353,51 +358,10 @@ pub fn targets() -> Vec<&'static str> {
     ]
 }
 
-pub(crate) fn module_identity(mfr: Manufacturer, cfg: &RunConfig, index: usize) -> u64 {
-    let modules = ddr4_modules_of(mfr);
-    modules[index % modules.len()].seed() ^ cfg.seed.rotate_left(17)
-}
-
+/// A fresh, fault-free characterizer of module `index` of `mfr`, for
+/// the single-module targets.
 fn characterizer(mfr: Manufacturer, cfg: &RunConfig, index: usize) -> Result<Characterizer, CharError> {
-    let modules = ddr4_modules_of(mfr);
-    let module = &modules[index % modules.len()];
-    let bench = TestBench::with_config(
-        module.module_config(),
-        mfr,
-        module.seed() ^ cfg.seed.rotate_left(17),
-    );
-    Characterizer::new(bench, cfg.scale)
-}
-
-/// Builds a fresh, fault-armed characterizer for one campaign attempt.
-/// Each retry re-derives the fault stream from the attempt number, so a
-/// transient fault does not replay identically on every rebuild. The
-/// per-task cancel token is installed *before* the (expensive) build so
-/// even module bring-up unwinds promptly on cancellation.
-pub(crate) fn characterizer_armed(
-    mfr: Manufacturer,
-    cfg: &RunConfig,
-    index: usize,
-    attempt: u32,
-    cancel: &CancelToken,
-) -> Result<Characterizer, CharError> {
-    let modules = ddr4_modules_of(mfr);
-    let module = &modules[index % modules.len()];
-    let mut bench = TestBench::with_config(
-        module.module_config(),
-        mfr,
-        module.seed() ^ cfg.seed.rotate_left(17),
-    );
-    bench.set_cancel_token(cancel.clone());
-    if let Some(plan) = &cfg.faults {
-        bench.install_faults(&plan.for_attempt(attempt));
-    }
-    Characterizer::new(bench, cfg.scale)
-}
-
-/// The checkpoint-stable identifier of a campaign module.
-pub(crate) fn campaign_module_id(mfr: Manufacturer, cfg: &RunConfig, index: usize) -> String {
-    format!("{}#{}", module_id(mfr, module_identity(mfr, cfg, index)), index)
+    Characterizer::new(module_bench(mfr, index, cfg.seed), cfg.scale)
 }
 
 fn campaign_runner(cfg: &RunConfig, target: &str) -> CampaignRunner {
@@ -421,11 +385,6 @@ fn campaign_runner(cfg: &RunConfig, target: &str) -> CampaignRunner {
         runner = runner.with_progress(Arc::clone(progress));
     }
     runner
-}
-
-/// Renders the resilience footer appended to campaign-backed targets.
-fn campaign_text(report: &CampaignReport) -> String {
-    format!("campaign: {}\n{}", report.summary_line(), non_success_lines(report))
 }
 
 /// One line per quarantined, timed-out or cancelled module.
@@ -458,116 +417,385 @@ pub(crate) fn non_success_lines(report: &CampaignReport) -> String {
     s
 }
 
-/// Wraps a target's results together with its campaign report.
-fn campaign_data(results: Value, report: &CampaignReport) -> Value {
-    json!({
-        "results": results,
-        "campaign": serde_json::to_value(report).unwrap_or(Value::Null),
+/// The committed results of one campaign-backed target, each beside
+/// the job that produced it, in module order.
+type JobResults = [(ModuleJob, Value)];
+
+/// A rendered text report (without the campaign footer) and its
+/// `results` data.
+type Rendered = Result<(String, Value), CharError>;
+
+/// A campaign-backed target: one per-module experiment, the modules it
+/// runs over, and the renderer of the committed results. `repro
+/// <target>` runs the jobs as a local campaign, `repro fleet <target>`
+/// on fleet workers; both render through `render`.
+struct CampaignTarget {
+    name: &'static str,
+    /// The per-module experiment, its result serialized.
+    experiment: fn(&mut Characterizer) -> Result<Value, CharError>,
+    /// Module indices per manufacturer, given `--modules`.
+    modules: fn(usize) -> usize,
+    render: fn(&JobResults) -> Rendered,
+}
+
+/// Index 0 of every manufacturer.
+const ONE_PER_MFR: fn(usize) -> usize = |_| 1;
+
+/// Every campaign-backed target, in paper order.
+const CAMPAIGN_TARGETS: &[CampaignTarget] = &[
+    CampaignTarget {
+        name: "table3",
+        experiment: |ch| ser(temperature::cell_temp_ranges(ch)),
+        modules: ONE_PER_MFR,
+        render: |r| {
+            let rs = decode::<temperature::TempRangeAnalysis>(r)?;
+            let rows: Vec<(&str, &temperature::TempRangeAnalysis)> = rs
+                .iter()
+                .map(|(m, _, a)| (["Mfr. A", "Mfr. B", "Mfr. C", "Mfr. D"][m.index()], a))
+                .collect();
+            Ok((report::table3(&rows) + "paper: 99.1% / 98.9% / 98.0% / 99.2%\n", mfr_data(&rs)))
+        },
+    },
+    CampaignTarget {
+        name: "fig3",
+        experiment: |ch| ser(temperature::cell_temp_ranges(ch)),
+        modules: ONE_PER_MFR,
+        render: |r| per_module(r, report::fig3, "paper all-temps corner: 14.2% / 17.4% / 9.6% / 29.8%\n"),
+    },
+    CampaignTarget {
+        name: "fig4",
+        experiment: |ch| ser(temperature::ber_vs_temperature(ch)),
+        modules: ONE_PER_MFR,
+        render: |r| {
+            per_module(r, report::fig4, "paper trend 50->90C (victim): A up ~+100%, B down ~-20%, C up ~+40%, D up ~+200%\n")
+        },
+    },
+    CampaignTarget {
+        name: "fig5",
+        experiment: |ch| ser(temperature::hcfirst_vs_temperature(ch)),
+        modules: ONE_PER_MFR,
+        render: |r| {
+            per_module(r, report::fig5, "paper crossings at 50->90C: A P45, B P67, C P71, D P40; magnitude ratio ~4x\n")
+        },
+    },
+    CampaignTarget {
+        name: "fig7",
+        experiment: |ch| ser(rowactive::row_active_analysis(ch)),
+        modules: ONE_PER_MFR,
+        render: |r| {
+            per_module::<rowactive::RowActiveAnalysis>(
+                r,
+                |l, a| report::fig_ber_sweep("Fig. 7", l, a, true),
+                "paper BER gain at 154.5ns: 10.2x / 3.1x / 4.4x / 9.6x\n",
+            )
+        },
+    },
+    CampaignTarget {
+        name: "fig8",
+        experiment: |ch| ser(rowactive::row_active_analysis(ch)),
+        modules: ONE_PER_MFR,
+        render: |r| {
+            per_module::<rowactive::RowActiveAnalysis>(
+                r,
+                |l, a| report::fig_hc_sweep("Fig. 8", l, a, true),
+                "paper HCfirst reduction: 40.0% / 28.3% / 32.7% / 37.3%\n",
+            )
+        },
+    },
+    CampaignTarget {
+        name: "fig9",
+        experiment: |ch| ser(rowactive::row_active_analysis(ch)),
+        modules: ONE_PER_MFR,
+        render: |r| {
+            per_module::<rowactive::RowActiveAnalysis>(
+                r,
+                |l, a| report::fig_ber_sweep("Fig. 9", l, a, false),
+                "paper BER drop at 40.5ns: 6.3x / 2.9x / 4.9x / 5.0x\n",
+            )
+        },
+    },
+    CampaignTarget {
+        name: "fig10",
+        experiment: |ch| ser(rowactive::row_active_analysis(ch)),
+        modules: ONE_PER_MFR,
+        render: |r| {
+            per_module::<rowactive::RowActiveAnalysis>(
+                r,
+                |l, a| report::fig_hc_sweep("Fig. 10", l, a, false),
+                "paper HCfirst increase: 33.8% / 24.7% / 50.1% / 33.7%\n",
+            )
+        },
+    },
+    CampaignTarget {
+        name: "fig11",
+        experiment: |ch| ser(spatial::row_variation(ch)),
+        modules: |n| n,
+        render: render_fig11,
+    },
+    CampaignTarget {
+        name: "fig12",
+        experiment: |ch| ser(spatial::column_map(ch)),
+        modules: ONE_PER_MFR,
+        render: |r| {
+            let rs = decode::<spatial::ColumnMap>(r)?;
+            let text = sections(&rs, report::fig12, "paper zero-flip columns: 27.8% / 0% / 31.1% / 9.96%\n");
+            let data: Vec<_> =
+                rs.iter().map(|(m, _, cm)| (m.to_string(), cm.zero_fraction(), cm.max_count())).collect();
+            Ok((text, data.to_json_value()))
+        },
+    },
+    CampaignTarget {
+        name: "fig13",
+        experiment: |ch| ser(spatial::column_map(ch)),
+        modules: ONE_PER_MFR,
+        render: |r| {
+            let cvs: Vec<_> = decode::<spatial::ColumnMap>(r)?
+                .into_iter()
+                .map(|(m, i, cm)| (m, i, spatial::column_variation(&cm)))
+                .collect();
+            let footer = "paper CV=0 share: Mfr. B 50.9%, Mfr. C 16.6%; CV=1 share: A 59.8%, C 30.6%, D 29.1%\n";
+            Ok((sections(&cvs, report::fig13, footer), mfr_data(&cvs)))
+        },
+    },
+    // The subarray regression and similarity studies need several
+    // modules per manufacturer for a stable picture.
+    CampaignTarget {
+        name: "fig14",
+        experiment: |ch| ser(spatial::subarray_hcfirst(ch)),
+        modules: |n| n.max(3),
+        render: |r| render_subarrays(true, r),
+    },
+    CampaignTarget {
+        name: "fig15",
+        experiment: |ch| ser(spatial::subarray_hcfirst(ch)),
+        modules: |n| n.max(3),
+        render: |r| render_subarrays(false, r),
+    },
+    CampaignTarget {
+        name: "hcsweep",
+        experiment: |ch| ser(dose::dose_response(ch)),
+        modules: ONE_PER_MFR,
+        render: render_hcsweep,
+    },
+];
+
+/// Serializes a per-module experiment's result.
+fn ser<T: Serialize>(r: Result<T, CharError>) -> Result<Value, CharError> {
+    r.map(|t| t.to_json_value())
+}
+
+/// Decodes every committed result as the experiment's output type.
+fn decode<T: Deserialize>(results: &JobResults) -> Result<Vec<(Manufacturer, usize, T)>, CharError> {
+    results
+        .iter()
+        .map(|(job, v)| {
+            T::from_json_value(v).map(|t| (job.mfr, job.index, t)).map_err(|e| CharError::Checkpoint {
+                detail: format!("result for {} does not decode: {e}", job.module_id()),
+            })
+        })
+        .collect()
+}
+
+/// Each result beside its manufacturer's name.
+fn mfr_data<T: Serialize>(results: &[(Manufacturer, usize, T)]) -> Value {
+    results.iter().map(|(m, _, t)| (m.to_string(), t)).collect::<Vec<_>>().to_json_value()
+}
+
+/// One `section` per module, each followed by a blank line, then the
+/// paper's `footer`.
+fn sections<T>(results: &[(Manufacturer, usize, T)], section: fn(&str, &T) -> String, footer: &str) -> String {
+    let mut text = String::new();
+    for (m, _, t) in results {
+        text.push_str(&section(&m.to_string(), t));
+        text.push('\n');
+    }
+    text + footer
+}
+
+/// [`sections`] over the decoded results, with [`mfr_data`].
+fn per_module<T: Serialize + Deserialize>(
+    results: &JobResults,
+    section: fn(&str, &T) -> String,
+    footer: &str,
+) -> Rendered {
+    let rs = decode::<T>(results)?;
+    Ok((sections(&rs, section, footer), mfr_data(&rs)))
+}
+
+fn render_fig11(results: &JobResults) -> Rendered {
+    let rs = decode::<spatial::RowVariation>(results)?;
+    let mut text = String::new();
+    for (k, (mfr, i, rv)) in rs.iter().enumerate() {
+        if k > 0 && rs[k - 1].0 != *mfr {
+            text.push('\n');
+        }
+        text.push_str(&report::fig11(&format!("{mfr} module {i}"), rv));
+    }
+    text.push_str("\npaper: P99 >= 1.6x, P95 >= 2.0x, P90 >= 2.2x the most vulnerable row\n");
+    let data: Vec<_> = rs.iter().map(|(m, i, rv)| (m.to_string(), *i, rv)).collect();
+    Ok((text, data.to_json_value()))
+}
+
+fn render_subarrays(fig14: bool, results: &JobResults) -> Rendered {
+    let rs = decode::<Vec<spatial::SubarrayPoint>>(results)?;
+    let mut text = String::new();
+    let mut data = Vec::new();
+    for mfr in Manufacturer::ALL {
+        let per_module: Vec<Vec<spatial::SubarrayPoint>> =
+            rs.iter().filter(|(m, _, _)| *m == mfr).map(|(_, _, p)| p.clone()).collect();
+        if per_module.is_empty() {
+            text.push_str(&format!("{mfr}: every module quarantined, no data\n"));
+            text.push('\n');
+            continue;
+        }
+        if fig14 {
+            let all: Vec<spatial::SubarrayPoint> = per_module.into_iter().flatten().collect();
+            text.push_str(&report::fig14(&mfr.to_string(), &all, spatial::subarray_fit(&all)));
+            data.push((mfr.to_string(), all.to_json_value()));
+        } else {
+            let sim = spatial::subarray_similarity(&per_module);
+            text.push_str(&report::fig15(&mfr.to_string(), &sim));
+            data.push((mfr.to_string(), sim.to_json_value()));
+        }
+        text.push('\n');
+    }
+    text.push_str(if fig14 {
+        "paper fits: A y=0.46x R2 0.73, B y=0.41x R2 0.78, C y=0.42x R2 0.93, D y=0.67x R2 0.42\n"
+    } else {
+        "paper: same-module P5 ~0.975 (Mfr. C); cross-module P5 down to 0.66\n"
+    });
+    Ok((text, data.to_json_value()))
+}
+
+/// BER-vs-hammer-count dose response (the basis of the paper's 150 K
+/// choice, §4.2 footnote 3).
+fn render_hcsweep(results: &JobResults) -> Rendered {
+    let rs = decode::<dose::DoseResponse>(results)?;
+    let mut text = String::from("BER vs hammer count (75C, WCDP)\n");
+    for (m, _, d) in &rs {
+        text.push_str(&format!("{m}:\n"));
+        for p in &d.points {
+            text.push_str(&format!(
+                "  {:>7} hammers: mean BER {:>7.1}  flipping rows {:>5.1}%\n",
+                p.hammers,
+                p.mean_ber,
+                p.flipping_rows * 100.0
+            ));
+        }
+    }
+    text.push_str("paper: 150K chosen as attack-realistic and sufficient on every module\n");
+    Ok((text, mfr_data(&rs)))
+}
+
+fn campaign_target(name: &str) -> Result<&'static CampaignTarget, CharError> {
+    CAMPAIGN_TARGETS.iter().find(|t| t.name == name).ok_or_else(|| {
+        CharError::Infra(rh_softmc::SoftMcError::InvalidProgram {
+            reason: format!(
+                "unknown target '{name}': not one of the campaign-backed targets ({})",
+                fleet_targets().join(" ")
+            ),
+        })
     })
 }
 
-fn per_mfr<T>(
-    cfg: &RunConfig,
-    target: &str,
-    f: impl Fn(&mut Characterizer) -> Result<T, CharError> + Sync,
-) -> Result<(Vec<(Manufacturer, T)>, CampaignReport), CharError>
-where
-    T: Send + Serialize + Deserialize,
-{
-    let ids: Vec<(String, Manufacturer)> = Manufacturer::ALL
+/// The campaign-backed targets, in paper order: the ones `repro
+/// fleet` runs.
+#[must_use]
+pub fn fleet_targets() -> Vec<&'static str> {
+    CAMPAIGN_TARGETS.iter().map(|t| t.name).collect()
+}
+
+/// The jobs of campaign-backed `target` under `cfg`, in module order:
+/// the target's module indices of every manufacturer.
+///
+/// # Errors
+///
+/// `target` is not campaign-backed.
+pub fn module_jobs(target: &str, cfg: &RunConfig) -> Result<Vec<ModuleJob>, CharError> {
+    let t = campaign_target(target)?;
+    let per_mfr = (t.modules)(cfg.modules_per_mfr);
+    Ok(Manufacturer::ALL
         .into_iter()
-        .map(|m| (campaign_module_id(m, cfg, 0), m))
-        .collect();
-    let tasks: Vec<ModuleTask<'_>> = Manufacturer::ALL
-        .into_iter()
-        .map(|m| {
-            ModuleTask::new(campaign_module_id(m, cfg, 0), move |attempt, cancel| {
-                characterizer_armed(m, cfg, 0, attempt, cancel)
+        .flat_map(|mfr| {
+            (0..per_mfr).map(move |index| ModuleJob {
+                target: t.name.to_string(),
+                mfr,
+                index,
+                seed: cfg.seed,
+                scale: cfg.scale,
+            })
+        })
+        .collect())
+}
+
+/// Runs one job's experiment on a fresh, fault-free module, as a fleet
+/// worker and `repro analyze replay` do.
+///
+/// # Errors
+///
+/// An unknown target, or [`CharError`] from the experiment.
+pub fn run_job(job: &ModuleJob, cancel: &CancelToken) -> Result<Value, CharError> {
+    let t = campaign_target(&job.target)?;
+    (t.experiment)(&mut job.characterizer(None, 1, cancel)?)
+}
+
+/// Runs campaign-backed `target` as a local campaign: its jobs on the
+/// supervised pool, with `cfg`'s faults, retry policy and checkpoint.
+///
+/// # Errors
+///
+/// An unknown target, or checkpoint problems (module failures are
+/// reported, never returned).
+pub fn run_campaign(target: &str, cfg: &RunConfig) -> Result<CampaignOutput<Value>, CharError> {
+    let t = campaign_target(target)?;
+    let jobs = module_jobs(target, cfg)?;
+    let tasks: Vec<ModuleTask<'_>> = jobs
+        .iter()
+        .map(|job| {
+            ModuleTask::new(job.module_id(), move |attempt, cancel| {
+                job.characterizer(cfg.faults.as_ref(), attempt, cancel)
             })
         })
         .collect();
-    let out = campaign_runner(cfg, target).run(tasks, f)?;
-    let results = out
-        .results
+    campaign_runner(cfg, t.name).run(tasks, t.experiment)
+}
+
+/// Renders the committed `results` of campaign-backed `target` (run
+/// locally or by the fleet) with the campaign footer and report.
+///
+/// # Errors
+///
+/// An unknown target or module id, or a result that does not decode.
+pub fn render_campaign(
+    target: &str,
+    cfg: &RunConfig,
+    results: Vec<(String, Value)>,
+    report: CampaignReport,
+) -> Result<RunOutput, CharError> {
+    let t = campaign_target(target)?;
+    let jobs = module_jobs(target, cfg)?;
+    let ids: Vec<String> = jobs.iter().map(ModuleJob::module_id).collect();
+    let results = results
         .into_iter()
-        .map(|(id, t)| {
-            ids.iter()
-                .find(|(i, _)| *i == id)
-                .map(|(_, m)| (*m, t))
-                .ok_or_else(|| CharError::Checkpoint {
-                    detail: format!("campaign returned unknown module id '{id}'"),
-                })
+        .map(|(id, v)| match ids.iter().position(|i| *i == id) {
+            Some(k) => Ok((jobs[k].clone(), v)),
+            None => Err(CharError::Checkpoint {
+                detail: format!("campaign returned unknown module id '{id}'"),
+            }),
         })
         .collect::<Result<Vec<_>, _>>()?;
-    Ok((results, out.report))
+    let (mut text, data) = (t.render)(&results)?;
+    text.push_str(&format!("campaign: {}\n{}", report.summary_line(), non_success_lines(&report)));
+    let data = json!({"results": data, "campaign": report.to_json_value()});
+    Ok(RunOutput { target: t.name, text, data, report: Some(report) })
 }
 
 fn run_table1() -> RunOutput {
-    RunOutput { target: "table1", text: report::table1(), data: json!({}), report: None }
+    output("table1", report::table1(), json!({}))
 }
 
 fn run_table2() -> RunOutput {
-    let data = serde_json::to_value(rh_dram::tested_modules()).unwrap_or(Value::Null);
-    RunOutput { target: "table2", text: report::table2(), data, report: None }
-}
-
-fn run_temp_ranges(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharError> {
-    let (results, campaign) = per_mfr(cfg, target, temperature::cell_temp_ranges)?;
-    let mut text = String::new();
-    if target == "table3" {
-        let rows: Vec<(&str, &temperature::TempRangeAnalysis)> = results
-            .iter()
-            .map(|(m, a)| (["Mfr. A", "Mfr. B", "Mfr. C", "Mfr. D"][m.index()], a))
-            .collect();
-        text = report::table3(&rows);
-        text.push_str("paper: 99.1% / 98.9% / 98.0% / 99.2%\n");
-    } else {
-        for (m, a) in &results {
-            text.push_str(&report::fig3(&m.to_string(), a));
-            text.push('\n');
-        }
-        text.push_str("paper all-temps corner: 14.2% / 17.4% / 9.6% / 29.8%\n");
-    }
-    text.push_str(&campaign_text(&campaign));
-    let data = serde_json::to_value(
-        results.iter().map(|(m, a)| (m.to_string(), a)).collect::<Vec<_>>(),
-    )
-    .unwrap_or(Value::Null);
-    Ok(RunOutput { target, text, data: campaign_data(data, &campaign), report: Some(campaign) })
-}
-
-fn run_fig4(cfg: &RunConfig) -> Result<RunOutput, CharError> {
-    let (results, campaign) = per_mfr(cfg, "fig4", temperature::ber_vs_temperature)?;
-    let mut text = String::new();
-    for (m, f) in &results {
-        text.push_str(&report::fig4(&m.to_string(), f));
-        text.push('\n');
-    }
-    text.push_str(
-        "paper trend 50->90C (victim): A up ~+100%, B down ~-20%, C up ~+40%, D up ~+200%\n",
-    );
-    text.push_str(&campaign_text(&campaign));
-    let data = serde_json::to_value(
-        results.iter().map(|(m, f)| (m.to_string(), f)).collect::<Vec<_>>(),
-    )
-    .unwrap_or(Value::Null);
-    Ok(RunOutput { target: "fig4", text, data: campaign_data(data, &campaign), report: Some(campaign) })
-}
-
-fn run_fig5(cfg: &RunConfig) -> Result<RunOutput, CharError> {
-    let (results, campaign) = per_mfr(cfg, "fig5", temperature::hcfirst_vs_temperature)?;
-    let mut text = String::new();
-    for (m, f) in &results {
-        text.push_str(&report::fig5(&m.to_string(), f));
-        text.push('\n');
-    }
-    text.push_str("paper crossings at 50->90C: A P45, B P67, C P71, D P40; magnitude ratio ~4x\n");
-    text.push_str(&campaign_text(&campaign));
-    let data = serde_json::to_value(
-        results.iter().map(|(m, f)| (m.to_string(), f)).collect::<Vec<_>>(),
-    )
-    .unwrap_or(Value::Null);
-    Ok(RunOutput { target: "fig5", text, data: campaign_data(data, &campaign), report: Some(campaign) })
+    output("table2", report::table2(), rh_dram::tested_modules())
 }
 
 fn run_fig6() -> Result<RunOutput, CharError> {
@@ -587,180 +815,7 @@ fn run_fig6() -> Result<RunOutput, CharError> {
         text.push_str(&rh_dram::command::render_trace(bench.controller().trace()));
         bench.controller_mut().set_record_trace(false);
     }
-    Ok(RunOutput { target: "fig6", text, data: json!({}), report: None })
-}
-
-fn run_rowactive(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharError> {
-    let (results, campaign) = per_mfr(cfg, target, rowactive::row_active_analysis)?;
-    let mut text = String::new();
-    for (m, a) in &results {
-        let label = m.to_string();
-        match target {
-            "fig7" => text.push_str(&report::fig_ber_sweep("Fig. 7", &label, a, true)),
-            "fig8" => text.push_str(&report::fig_hc_sweep("Fig. 8", &label, a, true)),
-            "fig9" => text.push_str(&report::fig_ber_sweep("Fig. 9", &label, a, false)),
-            _ => text.push_str(&report::fig_hc_sweep("Fig. 10", &label, a, false)),
-        }
-        text.push('\n');
-    }
-    match target {
-        "fig7" => text.push_str("paper BER gain at 154.5ns: 10.2x / 3.1x / 4.4x / 9.6x\n"),
-        "fig8" => text.push_str("paper HCfirst reduction: 40.0% / 28.3% / 32.7% / 37.3%\n"),
-        "fig9" => text.push_str("paper BER drop at 40.5ns: 6.3x / 2.9x / 4.9x / 5.0x\n"),
-        _ => text.push_str("paper HCfirst increase: 33.8% / 24.7% / 50.1% / 33.7%\n"),
-    }
-    text.push_str(&campaign_text(&campaign));
-    let data = serde_json::to_value(
-        results.iter().map(|(m, a)| (m.to_string(), a)).collect::<Vec<_>>(),
-    )
-    .unwrap_or(Value::Null);
-    Ok(RunOutput { target, text, data: campaign_data(data, &campaign), report: Some(campaign) })
-}
-
-/// Runs one experiment over `modules_per_mfr` modules of every
-/// manufacturer as a single campaign, returning `(mfr, index, result)`
-/// triples in module order plus the resilience report.
-#[allow(clippy::type_complexity)]
-fn spatial_campaign<T>(
-    cfg: &RunConfig,
-    target: &str,
-    f: impl Fn(&mut Characterizer) -> Result<T, CharError> + Sync,
-) -> Result<(Vec<(Manufacturer, usize, T)>, CampaignReport), CharError>
-where
-    T: Send + Serialize + Deserialize,
-{
-    let mut meta: Vec<(String, Manufacturer, usize)> = Vec::new();
-    let mut tasks: Vec<ModuleTask<'_>> = Vec::new();
-    for mfr in Manufacturer::ALL {
-        for i in 0..cfg.modules_per_mfr {
-            let id = campaign_module_id(mfr, cfg, i);
-            meta.push((id.clone(), mfr, i));
-            tasks.push(ModuleTask::new(id, move |attempt, cancel| {
-                characterizer_armed(mfr, cfg, i, attempt, cancel)
-            }));
-        }
-    }
-    let out = campaign_runner(cfg, target).run(tasks, f)?;
-    let results = out
-        .results
-        .into_iter()
-        .map(|(id, t)| {
-            meta.iter()
-                .find(|(mid, _, _)| *mid == id)
-                .map(|(_, mfr, i)| (*mfr, *i, t))
-                .ok_or_else(|| CharError::Checkpoint {
-                    detail: format!("campaign returned unknown module id '{id}'"),
-                })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((results, out.report))
-}
-
-fn run_fig11(cfg: &RunConfig) -> Result<RunOutput, CharError> {
-    let (results, campaign) = spatial_campaign(cfg, "fig11", spatial::row_variation)?;
-    let mut text = String::new();
-    let mut data = Vec::new();
-    let mut last_mfr = None;
-    for (mfr, i, rv) in &results {
-        if last_mfr.is_some() && last_mfr != Some(*mfr) {
-            text.push('\n');
-        }
-        last_mfr = Some(*mfr);
-        text.push_str(&report::fig11(&format!("{mfr} module {i}"), rv));
-        data.push((mfr.to_string(), *i, rv.clone()));
-    }
-    text.push('\n');
-    text.push_str("paper: P99 >= 1.6x, P95 >= 2.0x, P90 >= 2.2x the most vulnerable row\n");
-    text.push_str(&campaign_text(&campaign));
-    Ok(RunOutput {
-        target: "fig11",
-        text,
-        data: campaign_data(serde_json::to_value(data).unwrap_or(Value::Null), &campaign),
-        report: Some(campaign),
-    })
-}
-
-fn run_fig12_13(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharError> {
-    let (results, campaign) = per_mfr(cfg, target, spatial::column_map)?;
-    let mut text = String::new();
-    let mut data = Vec::new();
-    for (m, cm) in &results {
-        if target == "fig12" {
-            text.push_str(&report::fig12(&m.to_string(), cm));
-        } else {
-            let cv = spatial::column_variation(cm);
-            text.push_str(&report::fig13(&m.to_string(), &cv));
-            data.push((m.to_string(), serde_json::to_value(&cv).unwrap_or(Value::Null)));
-        }
-        text.push('\n');
-    }
-    if target == "fig12" {
-        text.push_str("paper zero-flip columns: 27.8% / 0% / 31.1% / 9.96%\n");
-        text.push_str(&campaign_text(&campaign));
-        let d = results
-            .iter()
-            .map(|(m, cm)| (m.to_string(), cm.zero_fraction(), cm.max_count()))
-            .collect::<Vec<_>>();
-        return Ok(RunOutput {
-            target,
-            text,
-            data: campaign_data(serde_json::to_value(d).unwrap_or(Value::Null), &campaign),
-            report: Some(campaign),
-        });
-    }
-    text.push_str("paper CV=0 share: Mfr. B 50.9%, Mfr. C 16.6%; CV=1 share: A 59.8%, C 30.6%, D 29.1%\n");
-    text.push_str(&campaign_text(&campaign));
-    Ok(RunOutput {
-        target,
-        text,
-        data: campaign_data(serde_json::to_value(data).unwrap_or(Value::Null), &campaign),
-        report: Some(campaign),
-    })
-}
-
-fn run_fig14_15(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharError> {
-    let mut text = String::new();
-    let mut data = Vec::new();
-    // The subarray regression and similarity studies need several
-    // modules per manufacturer for a stable picture.
-    let cfg = &RunConfig { modules_per_mfr: cfg.modules_per_mfr.max(3), ..cfg.clone() };
-    let (results, campaign) = spatial_campaign(cfg, target, spatial::subarray_hcfirst)?;
-    for mfr in Manufacturer::ALL {
-        let per_module: Vec<Vec<spatial::SubarrayPoint>> = results
-            .iter()
-            .filter(|(m, _, _)| *m == mfr)
-            .map(|(_, _, p)| p.clone())
-            .collect();
-        if per_module.is_empty() {
-            text.push_str(&format!("{mfr}: every module quarantined, no data\n"));
-            text.push('\n');
-            continue;
-        }
-        if target == "fig14" {
-            let all: Vec<spatial::SubarrayPoint> =
-                per_module.iter().flatten().cloned().collect();
-            let fit = spatial::subarray_fit(&all);
-            text.push_str(&report::fig14(&mfr.to_string(), &all, fit));
-            data.push((mfr.to_string(), serde_json::to_value(&all).unwrap_or(Value::Null)));
-        } else {
-            let sim = spatial::subarray_similarity(&per_module);
-            text.push_str(&report::fig15(&mfr.to_string(), &sim));
-            data.push((mfr.to_string(), serde_json::to_value(&sim).unwrap_or(Value::Null)));
-        }
-        text.push('\n');
-    }
-    if target == "fig14" {
-        text.push_str("paper fits: A y=0.46x R2 0.73, B y=0.41x R2 0.78, C y=0.42x R2 0.93, D y=0.67x R2 0.42\n");
-    } else {
-        text.push_str("paper: same-module P5 ~0.975 (Mfr. C); cross-module P5 down to 0.66\n");
-    }
-    text.push_str(&campaign_text(&campaign));
-    Ok(RunOutput {
-        target,
-        text,
-        data: campaign_data(serde_json::to_value(data).unwrap_or(Value::Null), &campaign),
-        report: Some(campaign),
-    })
+    Ok(output("fig6", text, json!({})))
 }
 
 fn run_observations(cfg: &RunConfig) -> Result<RunOutput, CharError> {
@@ -801,8 +856,7 @@ fn run_observations(cfg: &RunConfig) -> Result<RunOutput, CharError> {
         obs::obsv16(&sim),
     ];
     let text = report::observations(&checks);
-    let data = serde_json::to_value(&checks).unwrap_or(Value::Null);
-    Ok(RunOutput { target: "observations", text, data, report: None })
+    Ok(output("observations", text, &checks))
 }
 
 fn run_attack(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharError> {
@@ -821,7 +875,7 @@ fn run_attack(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharEr
                 s.informed_row,
                 s.reduction * 100.0
             );
-            Ok(RunOutput { target, text, data: serde_json::to_value(s).unwrap_or(Value::Null), report: None })
+            Ok(output(target, text, s))
         }
         "attack2" => {
             let candidates: Vec<u32> = (0..16).map(|i| 1200 + 6 * i).collect();
@@ -840,7 +894,7 @@ fn run_attack(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharEr
             } else {
                 text.push_str("no suitable narrow-range cell in this sample\n");
             }
-            Ok(RunOutput { target, text, data: serde_json::to_value(s).unwrap_or(Value::Null), report: None })
+            Ok(output(target, text, s))
         }
         _ => {
             ch.set_temperature(50.0)?;
@@ -862,7 +916,7 @@ fn run_attack(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharEr
                 s.hc_reduction() * 100.0,
                 s.defeats_baseline_threshold()
             );
-            Ok(RunOutput { target, text, data: serde_json::to_value(s).unwrap_or(Value::Null), report: None })
+            Ok(output(target, text, s))
         }
     }
 }
@@ -891,7 +945,7 @@ fn run_defense(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharE
                 "graphene": {"uniform": graphene_area_pct(uni), "dual": graphene_area_pct(dual)},
                 "blockhammer": {"uniform": blockhammer_area_pct(uni), "dual": blockhammer_area_pct(dual)},
             });
-            Ok(RunOutput { target, text, data, report: None })
+            Ok(output(target, text, data))
         }
         "defense2" => {
             let mut ch = characterizer(Manufacturer::C, cfg, 0)?;
@@ -910,7 +964,7 @@ fn run_defense(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharE
                 fp.prediction_error() * 100.0,
                 fp.speedup()
             );
-            Ok(RunOutput { target, text, data: serde_json::to_value(&fp).unwrap_or(Value::Null), report: None })
+            Ok(output(target, text, &fp))
         }
         "defense3" => {
             let mut ch = characterizer(Manufacturer::B, cfg, 0)?;
@@ -928,7 +982,7 @@ fn run_defense(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharE
                 plan.retired_fraction(70.0, 5.0) * 100.0,
                 residual
             );
-            Ok(RunOutput { target, text, data: serde_json::to_value(&plan).unwrap_or(Value::Null), report: None })
+            Ok(output(target, text, &plan))
         }
         "defense4" => {
             let mut ch = characterizer(Manufacturer::A, cfg, 0)?;
@@ -940,7 +994,7 @@ fn run_defense(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharE
                  reduction from cooling: {:.0}% (paper: ~25% for Mfr. A; our Mfr. A trend is stronger)\n",
                 s.hot, s.ber_hot, s.cold, s.ber_cold, s.reduction() * 100.0
             );
-            Ok(RunOutput { target, text, data: serde_json::to_value(s).unwrap_or(Value::Null), report: None })
+            Ok(output(target, text, s))
         }
         "defense5" => {
             let mut ch = characterizer(Manufacturer::B, cfg, 0)?;
@@ -955,7 +1009,7 @@ fn run_defense(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharE
                 s.ber_capped,
                 s.mitigation_factor()
             );
-            Ok(RunOutput { target, text, data: serde_json::to_value(s).unwrap_or(Value::Null), report: None })
+            Ok(output(target, text, s))
         }
         _ => {
             // defense6: ECC interleaving on measured flip positions.
@@ -992,7 +1046,7 @@ fn run_defense(cfg: &RunConfig, target: &'static str) -> Result<RunOutput, CharE
                 "sequential": {"corrected": seq_ok, "uncorrectable": seq_bad},
                 "spread": {"corrected": spr_ok, "uncorrectable": spr_bad},
             });
-            Ok(RunOutput { target, text, data, report: None })
+            Ok(output(target, text, data))
         }
     }
 }
@@ -1029,12 +1083,7 @@ fn run_ddr3(cfg: &RunConfig) -> Result<RunOutput, CharError> {
         data.push((module.label.clone(), ranges));
     }
     text.push_str("paper: Obsv. 2 verified on the three DDR3 SODIMMs (§5.1)\n");
-    Ok(RunOutput {
-        target: "ddr3",
-        text,
-        data: serde_json::to_value(data).unwrap_or(Value::Null),
-        report: None,
-    })
+    Ok(output("ddr3", text, data))
 }
 
 /// TRRespass-style many-sided study: mitigation dilution of a small
@@ -1062,12 +1111,7 @@ fn run_trrespass(_cfg: &RunConfig) -> Result<RunOutput, CharError> {
         "mitigation efficiency collapses with decoy pairs; full bypasses additionally\n\
          exploit sampler determinism not modeled here (DESIGN.md §1)\n",
     );
-    Ok(RunOutput {
-        target: "trrespass",
-        text,
-        data: serde_json::to_value(&rows).unwrap_or(Value::Null),
-        report: None,
-    })
+    Ok(output("trrespass", text, &rows))
 }
 
 /// Chipkill vs SEC-DED on measured RowHammer flips (Improvement 6's
@@ -1106,7 +1150,7 @@ fn run_chipkill(cfg: &RunConfig) -> Result<RunOutput, CharError> {
         "secded": {"corrected": sec_ok, "uncorrectable": sec_bad},
         "chipkill": {"corrected": ck.corrected, "uncorrectable": ck.uncorrectable},
     });
-    Ok(RunOutput { target: "chipkill", text, data, report: None })
+    Ok(output("chipkill", text, data))
 }
 
 /// Fault-model ablations: disable one calibrated mechanism at a time
@@ -1150,7 +1194,7 @@ fn run_ablation(_cfg: &RunConfig) -> Result<RunOutput, CharError> {
         "ber_gain_on": {"calibrated": gain_base, "no_on_slope": gain_no_on},
         "p95_factor": {"calibrated": p95_base, "no_weak_rows": p95_no_weak},
     });
-    Ok(RunOutput { target: "ablation", text, data, report: None })
+    Ok(output("ablation", text, data))
 }
 
 /// Memory-controller study: row-buffer policies (including the
@@ -1233,37 +1277,7 @@ fn run_memctl() -> Result<RunOutput, CharError> {
         "the Improvement-5 cap costs little on benign traffic while denying\n\
          attackers extended aggressor-open time\n",
     );
-    Ok(RunOutput {
-        target: "memctl",
-        text,
-        data: serde_json::to_value(&data).unwrap_or(Value::Null),
-        report: None,
-    })
-}
-
-/// BER-vs-hammer-count dose response (the basis of the paper's 150 K
-/// choice, §4.2 footnote 3).
-fn run_hcsweep(cfg: &RunConfig) -> Result<RunOutput, CharError> {
-    let (results, campaign) = per_mfr(cfg, "hcsweep", dose::dose_response)?;
-    let mut text = String::from("BER vs hammer count (75C, WCDP)\n");
-    for (m, d) in &results {
-        text.push_str(&format!("{m}:\n"));
-        for p in &d.points {
-            text.push_str(&format!(
-                "  {:>7} hammers: mean BER {:>7.1}  flipping rows {:>5.1}%\n",
-                p.hammers,
-                p.mean_ber,
-                p.flipping_rows * 100.0
-            ));
-        }
-    }
-    text.push_str("paper: 150K chosen as attack-realistic and sufficient on every module\n");
-    text.push_str(&campaign_text(&campaign));
-    let data = serde_json::to_value(
-        results.iter().map(|(m, d)| (m.to_string(), d)).collect::<Vec<_>>(),
-    )
-    .unwrap_or(Value::Null);
-    Ok(RunOutput { target: "hcsweep", text, data: campaign_data(data, &campaign), report: Some(campaign) })
+    Ok(output("memctl", text, &data))
 }
 
 /// Benign-workload overhead of the defense roster (the performance
@@ -1295,12 +1309,7 @@ fn run_overhead() -> RunOutput {
     text.push_str(
         "paper: PARA at worst-case HCfirst costs 28% slowdown, halved at 2x threshold\n",
     );
-    RunOutput {
-        target: "overhead",
-        text,
-        data: serde_json::to_value(&data).unwrap_or(Value::Null),
-        report: None,
-    }
+    output("overhead", text, &data)
 }
 
 /// Per-manufacturer worst-case data pattern scores (the purpose behind
@@ -1329,12 +1338,7 @@ fn run_patterns(cfg: &RunConfig) -> Result<RunOutput, CharError> {
         }
         data.push((mfr.to_string(), scores));
     }
-    Ok(RunOutput {
-        target: "patterns",
-        text,
-        data: serde_json::to_value(&data).unwrap_or(Value::Null),
-        report: None,
-    })
+    Ok(output("patterns", text, &data))
 }
 
 /// Evaluates the classic defense roster against a double-sided attack
@@ -1373,12 +1377,7 @@ pub fn run_defense_matrix(_cfg: &RunConfig) -> Result<RunOutput, CharError> {
         ));
         rows.push(o);
     }
-    Ok(RunOutput {
-        target: "defense-matrix",
-        text,
-        data: serde_json::to_value(&rows).unwrap_or(Value::Null),
-        report: None,
-    })
+    Ok(output("defense-matrix", text, &rows))
 }
 
 /// Runs one named target.
@@ -1389,23 +1388,14 @@ pub fn run_defense_matrix(_cfg: &RunConfig) -> Result<RunOutput, CharError> {
 pub fn run_target(target: &str, cfg: &RunConfig) -> Result<RunOutput, CharError> {
     let mut span = rh_obs::span(names::BENCH_TARGET);
     span.set("target", target);
+    if CAMPAIGN_TARGETS.iter().any(|t| t.name == target) {
+        let out = run_campaign(target, cfg)?;
+        return render_campaign(target, cfg, out.results, out.report);
+    }
     match target {
         "table1" => Ok(run_table1()),
         "table2" => Ok(run_table2()),
-        "table3" => run_temp_ranges(cfg, "table3"),
-        "fig3" => run_temp_ranges(cfg, "fig3"),
-        "fig4" => run_fig4(cfg),
-        "fig5" => run_fig5(cfg),
         "fig6" => run_fig6(),
-        "fig7" => run_rowactive(cfg, "fig7"),
-        "fig8" => run_rowactive(cfg, "fig8"),
-        "fig9" => run_rowactive(cfg, "fig9"),
-        "fig10" => run_rowactive(cfg, "fig10"),
-        "fig11" => run_fig11(cfg),
-        "fig12" => run_fig12_13(cfg, "fig12"),
-        "fig13" => run_fig12_13(cfg, "fig13"),
-        "fig14" => run_fig14_15(cfg, "fig14"),
-        "fig15" => run_fig14_15(cfg, "fig15"),
         "observations" => run_observations(cfg),
         "attack1" => run_attack(cfg, "attack1"),
         "attack2" => run_attack(cfg, "attack2"),
@@ -1418,7 +1408,6 @@ pub fn run_target(target: &str, cfg: &RunConfig) -> Result<RunOutput, CharError>
         "defense6" => run_defense(cfg, "defense6"),
         "ddr3" => run_ddr3(cfg),
         "overhead" => Ok(run_overhead()),
-        "hcsweep" => run_hcsweep(cfg),
         "memctl" => run_memctl(),
         "patterns" => run_patterns(cfg),
         "trrespass" => run_trrespass(cfg),

@@ -26,16 +26,15 @@
 //! `GET /metrics`, `/progress`, and `/healthz` keep working, so
 //! `repro top` can watch an individual worker too.
 //!
-//! The work itself is deterministic in the payload: the same
-//! `(module, seed, scale, workload)` produces bit-identical JSON on
-//! any worker, which is what lets the coordinator re-dispatch freely
-//! and still match a single-process run.
+//! A job is a [`ModuleJob`]: one module of a campaign-backed target,
+//! run through [`run_job`] exactly as that target's local campaign
+//! runs it. The result is deterministic in the job, which is what lets
+//! the coordinator re-dispatch freely and still match a
+//! single-process run.
 
-use crate::runners::{characterizer_armed, module_identity, RunConfig};
-use rh_core::experiments::{spatial, temperature};
+use crate::runners::run_job;
 use rh_core::fleet::JobGrant;
-use rh_core::{module_id, CharError, Scale};
-use rh_dram::Manufacturer;
+use rh_core::{CharError, ModuleJob};
 use rh_obs::names;
 use rh_obs::{EventKind, EventRing, HttpRequest, HttpResponse, JobEvent, TelemetrySource};
 use rh_softmc::CancelToken;
@@ -79,80 +78,6 @@ impl Default for WorkerConfig {
     }
 }
 
-/// Builds the deterministic wire payload for one module's job. The
-/// coordinator calls this when populating its job table; the worker's
-/// [`execute_payload`] inverts it.
-#[must_use]
-pub fn job_payload(mfr: Manufacturer, index: usize, seed: u64, scale: Scale, workload: &str) -> Value {
-    json!({
-        "mfr": format!("{mfr:?}"),
-        "index": index,
-        "seed": seed,
-        "scale": format!("{scale:?}"),
-        "workload": workload,
-    })
-}
-
-/// The stable module id of one fleet job — identical to the campaign
-/// module id of the same `(mfr, index, seed)`, so fleet and
-/// single-process reports line up key-for-key.
-#[must_use]
-pub fn fleet_module_id(mfr: Manufacturer, index: usize, seed: u64) -> String {
-    let cfg = RunConfig { seed, ..RunConfig::default() };
-    format!("{}#{index}", module_id(mfr, module_identity(mfr, &cfg, index)))
-}
-
-/// Workload names [`execute_payload`] understands.
-#[must_use]
-pub fn fleet_workloads() -> &'static [&'static str] {
-    &["row_variation", "temp_ranges"]
-}
-
-/// Executes one job payload to completion (or cancellation), building
-/// a fresh bench exactly like a campaign attempt would. Deterministic
-/// in the payload; the attempt number only re-derives fault streams,
-/// and fleet payloads are fault-free, so re-dispatched runs are
-/// bit-identical.
-///
-/// # Errors
-///
-/// [`CharError`] from the characterization itself, a malformed
-/// payload, or cancellation.
-pub fn execute_payload(payload: &Value, cancel: &CancelToken) -> Result<Value, CharError> {
-    let malformed = |what: &str| CharError::Checkpoint { detail: format!("fleet payload: {what}") };
-    let mfr_name = payload.field("mfr").as_str().ok_or_else(|| malformed("missing mfr"))?;
-    let mfr = Manufacturer::ALL
-        .into_iter()
-        .find(|m| format!("{m:?}") == mfr_name)
-        .ok_or_else(|| malformed("unknown mfr"))?;
-    let index = payload.field("index").as_u64().ok_or_else(|| malformed("missing index"))? as usize;
-    let seed = payload.field("seed").as_u64().ok_or_else(|| malformed("missing seed"))?;
-    let scale = match payload.field("scale").as_str() {
-        Some("Smoke") => Scale::Smoke,
-        Some("Default") => Scale::Default,
-        Some("Paper") => Scale::Paper,
-        _ => return Err(malformed("unknown scale")),
-    };
-    let workload =
-        payload.field("workload").as_str().ok_or_else(|| malformed("missing workload"))?;
-
-    let cfg = RunConfig { seed, scale, ..RunConfig::default() };
-    let mut ch = characterizer_armed(mfr, &cfg, index, 1, cancel)?;
-    match workload {
-        "row_variation" => {
-            let r = spatial::row_variation(&mut ch)?;
-            serde_json::to_value(r)
-                .map_err(|e| CharError::Checkpoint { detail: format!("serialize result: {e}") })
-        }
-        "temp_ranges" => {
-            let r = temperature::cell_temp_ranges(&mut ch)?;
-            serde_json::to_value(r)
-                .map_err(|e| CharError::Checkpoint { detail: format!("serialize result: {e}") })
-        }
-        other => Err(malformed(&format!("unknown workload '{other}'"))),
-    }
-}
-
 /// Byte budget for one job's trace segment in a Done poll reply.
 /// Records beyond it are shed (counted via `obs.trace.shed`), keeping
 /// the reply far under the client's 4 MiB response cap.
@@ -177,7 +102,7 @@ struct JobSlot {
     module_id: String,
     /// Retained until execution starts, so queued jobs can launch
     /// after their submission request has long been answered.
-    payload: Value,
+    job: ModuleJob,
     state: JobState,
     /// The remote half tripped by `POST /cancel`.
     cancel: CancelToken,
@@ -220,6 +145,7 @@ impl WorkerState {
     fn submit(
         &self,
         grant: JobGrant,
+        job: ModuleJob,
         trace: Option<rh_obs::TraceContext>,
         state: &Arc<WorkerState>,
     ) -> HttpResponse {
@@ -270,7 +196,7 @@ impl WorkerState {
             lease_id,
             generation: grant.generation,
             module_id: grant.module_id.clone(),
-            payload: grant.payload,
+            job,
             state: if start_now { JobState::Running } else { JobState::Queued },
             cancel: remote,
             token,
@@ -387,9 +313,9 @@ fn start_job(state: &Arc<WorkerState>, lease_id: u64) -> bool {
         let jobs = lock(&state.jobs);
         jobs.iter()
             .find(|j| j.lease_id == lease_id)
-            .map(|slot| (slot.payload.clone(), slot.token.clone(), slot.trace, slot.module_id.clone()))
+            .map(|slot| (slot.job.clone(), slot.token.clone(), slot.trace, slot.module_id.clone()))
     };
-    let Some((payload, token, trace, module_id)) = staged else {
+    let Some((job, token, trace, module_id)) = staged else {
         state.running.fetch_sub(1, Ordering::SeqCst);
         return false;
     };
@@ -417,7 +343,7 @@ fn start_job(state: &Arc<WorkerState>, lease_id: u64) -> bool {
                 let mut span = rh_obs::span(names::WORKER_JOB_SPAN);
                 span.set("lease", lease_id);
                 span.set("module", module_id.clone());
-                execute_payload(&payload, &token)
+                run_job(&job, &token)
             };
             {
                 let (state, terminal) = match outcome {
@@ -512,9 +438,9 @@ fn pump(state: &Arc<WorkerState>) {
 }
 
 /// Flip evidence carried on `flip_found`/`committed` events: the
-/// result's own vulnerability tally when the workload exposes one
-/// (`vulnerable_cells` for `temp_ranges`, vulnerable-row count for
-/// `row_variation`), else 0.
+/// result's own vulnerability tally when the experiment exposes one
+/// (`vulnerable_cells` of a temperature-range analysis, the row count
+/// of a row-variation study), else 0.
 fn flip_evidence(result: &Value) -> u64 {
     if let Some(n) = result.field("vulnerable_cells").as_u64() {
         return n;
@@ -591,9 +517,12 @@ impl TelemetrySource for WorkerSource {
             ("POST", "/job") => {
                 let grant = serde_json::from_str::<Value>(&request.body)
                     .ok()
-                    .and_then(|v| JobGrant::from_json_value(&v).ok());
+                    .and_then(|v| JobGrant::from_json_value(&v).ok())
+                    .and_then(|g| Some((g.job.clone()?, g)));
                 Some(match grant {
-                    Some(grant) => self.state.submit(grant, request.traceparent, &self.state),
+                    Some((job, grant)) => {
+                        self.state.submit(grant, job, request.traceparent, &self.state)
+                    }
                     None => HttpResponse::json(400, "{\"error\":\"bad job grant\"}".to_string()),
                 })
             }
@@ -724,6 +653,8 @@ pub fn run_worker(cfg: &WorkerConfig) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rh_core::Scale;
+    use rh_dram::Manufacturer;
     use rh_obs::{http_get, http_post};
     use serde::Serialize as _;
 
@@ -759,14 +690,31 @@ mod tests {
         (handle, addr, cancel)
     }
 
+    fn job_grant(job: ModuleJob, lease_id: u64, lease_ms: u64) -> JobGrant {
+        JobGrant { module_id: job.module_id(), job: Some(job), lease_id, generation: 1, lease_ms }
+    }
+
     fn grant(lease_id: u64, generation: u32) -> JobGrant {
-        JobGrant {
-            module_id: fleet_module_id(Manufacturer::A, 0, 7),
-            payload: job_payload(Manufacturer::A, 0, 7, Scale::Smoke, "row_variation"),
-            lease_id,
-            generation,
-            lease_ms: 5_000,
-        }
+        let job = ModuleJob {
+            target: "fig11".to_string(),
+            mfr: Manufacturer::A,
+            index: 0,
+            seed: 7,
+            scale: Scale::Smoke,
+        };
+        JobGrant { generation, ..job_grant(job, lease_id, 5_000) }
+    }
+
+    /// A job that holds its slot for a while (fig11 at default scale).
+    fn slow(lease_id: u64) -> JobGrant {
+        let job = ModuleJob {
+            target: "fig11".to_string(),
+            mfr: Manufacturer::B,
+            index: 0,
+            seed: 9,
+            scale: Scale::Default,
+        };
+        job_grant(job, lease_id, 60_000)
     }
 
     fn poll_until_done(addr: &str, lease: u64) -> Value {
@@ -831,7 +779,7 @@ mod tests {
 
         // The worker's result matches an in-process execution bit for
         // bit.
-        let local = execute_payload(&g.payload, &CancelToken::new()).unwrap();
+        let local = run_job(g.job.as_ref().unwrap(), &CancelToken::new()).unwrap();
         assert_eq!(
             serde_json::to_string(&remote).unwrap(),
             serde_json::to_string(&local).unwrap(),
@@ -853,13 +801,7 @@ mod tests {
         let timeout = Duration::from_secs(5);
 
         // Occupy the only slot with a slow job (Default scale).
-        let slow = JobGrant {
-            module_id: fleet_module_id(Manufacturer::B, 0, 9),
-            payload: job_payload(Manufacturer::B, 0, 9, Scale::Default, "row_variation"),
-            lease_id: 10,
-            generation: 1,
-            lease_ms: 60_000,
-        };
+        let slow = slow(10);
         let r = http_post(
             &addr,
             "/job",
@@ -901,13 +843,7 @@ mod tests {
         let timeout = Duration::from_secs(5);
 
         // Occupy the only slot with a slow job.
-        let slow = JobGrant {
-            module_id: fleet_module_id(Manufacturer::B, 0, 9),
-            payload: job_payload(Manufacturer::B, 0, 9, Scale::Default, "row_variation"),
-            lease_id: 20,
-            generation: 1,
-            lease_ms: 60_000,
-        };
+        let slow = slow(20);
         let r = http_post(
             &addr,
             "/job",
@@ -1009,6 +945,9 @@ mod tests {
         let timeout = Duration::from_secs(5);
         let r = http_post(&addr, "/job", "not json", timeout).unwrap();
         assert_eq!(r.status, 400);
+        let jobless = serde_json::to_string(&JobGrant { job: None, ..grant(1, 1) }.to_json_value());
+        let r = http_post(&addr, "/job", &jobless.unwrap(), timeout).unwrap();
+        assert_eq!(r.status, 400, "a grant without its job");
         let r = http_get(&addr, "/job", timeout).unwrap();
         assert_eq!(r.status, 400, "missing lease param");
         let r = http_post(&addr, "/cancel", "{}", timeout).unwrap();

@@ -11,7 +11,7 @@
 //!   unfinished modules and converge on the same bit-identical
 //!   report.
 
-use rh_bench::{run_fleet, run_fleet_local, FleetConfig};
+use rh_bench::{run_campaign, run_fleet, FleetConfig, RunConfig};
 use rh_core::{verify_checkpoint, Scale};
 use rh_obs::http_get;
 use rh_softmc::CancelToken;
@@ -72,19 +72,13 @@ fn scrape_counter(addr: &str, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// The deterministic oracle: the same jobs executed sequentially in
-/// this process, no HTTP involved.
-fn local_results(seed: u64, workload: &str) -> String {
-    let cfg = FleetConfig {
-        seed,
-        scale: Scale::Default,
-        modules_per_mfr: 1,
-        workload: workload.to_string(),
-        ..FleetConfig::default()
-    };
-    let report = run_fleet_local(&cfg).expect("local oracle run");
-    assert!(report.is_clean());
-    results_key(&report.results)
+/// The deterministic oracle: the same target's local campaign in this
+/// process, no HTTP involved.
+fn local_results(seed: u64, target: &str) -> String {
+    let cfg = RunConfig { seed, scale: Scale::Default, modules_per_mfr: 1, ..RunConfig::default() };
+    let local = run_campaign(target, &cfg).expect("local oracle run");
+    assert!(local.report.is_clean());
+    results_key(&local.results)
 }
 
 fn results_key(results: &[(String, Value)]) -> String {
@@ -108,7 +102,7 @@ fn sigkilled_worker_is_redispatched_and_report_matches_single_process_run() {
         seed: 11,
         scale: Scale::Default,
         modules_per_mfr: 1,
-        workload: "temp_ranges".to_string(),
+        target: "table3".to_string(),
         lease_ms: 1_500,
         poll_ms: 50,
         ..FleetConfig::default()
@@ -141,7 +135,7 @@ fn sigkilled_worker_is_redispatched_and_report_matches_single_process_run() {
     // single-process run of the same seed.
     let ids: BTreeSet<_> = report.results.iter().map(|(id, _)| id.clone()).collect();
     assert_eq!(ids.len(), report.results.len(), "duplicate module results");
-    assert_eq!(results_key(&report.results), local_results(11, "temp_ranges"));
+    assert_eq!(results_key(&report.results), local_results(11, "table3"));
 }
 
 #[test]
@@ -156,7 +150,7 @@ fn coordinator_resumes_from_checkpoint_rerunning_only_unfinished_leases() {
         seed: 23,
         scale: Scale::Default,
         modules_per_mfr: 1,
-        workload: "temp_ranges".to_string(),
+        target: "table3".to_string(),
         lease_ms: 10_000,
         poll_ms: 50,
         checkpoint: Some(ckpt.clone()),
@@ -193,7 +187,7 @@ fn coordinator_resumes_from_checkpoint_rerunning_only_unfinished_leases() {
         seed: 23,
         scale: Scale::Default,
         modules_per_mfr: 1,
-        workload: "temp_ranges".to_string(),
+        target: "table3".to_string(),
         lease_ms: 10_000,
         poll_ms: 50,
         checkpoint: Some(ckpt.clone()),
@@ -202,7 +196,7 @@ fn coordinator_resumes_from_checkpoint_rerunning_only_unfinished_leases() {
     let report = run_fleet(&resumed_cfg).expect("resumed run completes");
     assert!(report.is_clean(), "resumed fleet not clean: {}", report.summary_line());
     assert_eq!(report.results.len(), 4);
-    assert_eq!(results_key(&report.results), local_results(23, "temp_ranges"));
+    assert_eq!(results_key(&report.results), local_results(23, "table3"));
 
     // Only the unfinished modules were handed out again: the worker
     // saw exactly (total - already committed) new submissions.

@@ -12,7 +12,7 @@
 //!   labels next to the coordinator's own unlabeled series; and
 //! * per-worker stream cursors in the coordinator's `/progress`.
 
-use rh_bench::{run_fleet, run_fleet_local, FleetConfig};
+use rh_bench::{run_campaign, run_fleet, FleetConfig, RunConfig};
 use rh_core::fleet::BreakerPolicy;
 use rh_core::{ProgressTracker, Scale};
 use rh_obs::analyze::{analyze_journal, JournalFilter};
@@ -116,7 +116,7 @@ fn journaled_chaos_fleet_is_exactly_once_and_bit_identical() {
         seed,
         scale: Scale::Default,
         modules_per_mfr: 1,
-        workload: "temp_ranges".to_string(),
+        target: "table3".to_string(),
         lease_ms: 1_500,
         poll_ms: 50,
         net_fault: Some(rh_obs::NetFaultPlan::flaky_link(seed)),
@@ -151,16 +151,14 @@ fn journaled_chaos_fleet_is_exactly_once_and_bit_identical() {
     assert!(report.is_clean(), "fleet not clean: {}", report.summary_line());
     assert_eq!(report.results.len(), 4);
 
-    // --- Results: bit-identical to the fault-free oracle. ---
-    let oracle = run_fleet_local(&FleetConfig {
-        seed,
-        scale: Scale::Default,
-        modules_per_mfr: 1,
-        workload: "temp_ranges".to_string(),
-        ..FleetConfig::default()
-    })
+    // --- Results: bit-identical to the fault-free oracle, the same
+    // target's local campaign. ---
+    let oracle = run_campaign(
+        "table3",
+        &RunConfig { seed, scale: Scale::Default, modules_per_mfr: 1, ..RunConfig::default() },
+    )
     .expect("local oracle run");
-    assert!(oracle.is_clean());
+    assert!(oracle.report.is_clean());
     assert_eq!(
         results_key(&report.results),
         results_key(&oracle.results),

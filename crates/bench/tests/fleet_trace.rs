@@ -6,9 +6,8 @@
 //! every committed result must carry a replay token that re-executes
 //! single-process to the identical bits.
 
-use rh_bench::{execute_payload, job_payload, run_fleet, FleetConfig};
+use rh_bench::{run_fleet, run_job, FleetConfig};
 use rh_core::{fnv1a64, ModuleStatus, ReplayToken, Scale};
-use rh_dram::Manufacturer;
 use rh_obs::analyze::analyze_fleet_dir;
 use rh_softmc::CancelToken;
 use std::io::BufRead;
@@ -64,7 +63,7 @@ fn traced_fleet_run_stitches_to_one_tree_and_replay_tokens_reproduce_bits() {
         seed: 7,
         scale: Scale::Smoke,
         modules_per_mfr: 1,
-        workload: "temp_ranges".to_string(),
+        target: "table3".to_string(),
         lease_ms: 10_000,
         poll_ms: 25,
         trace_dir: Some(dir.clone()),
@@ -120,12 +119,8 @@ fn traced_fleet_run_stitches_to_one_tree_and_replay_tokens_reproduce_bits() {
     let token_str = report.replay_tokens[0].1.as_str();
     let token = ReplayToken::parse(token_str).unwrap_or_else(|e| panic!("token parse: {e}"));
     assert_ne!(token.trace_id, 0, "a traced run must stamp the trace into the token");
-    let mfr = Manufacturer::ALL
-        .into_iter()
-        .find(|m| format!("{m:?}") == token.mfr)
-        .expect("token names a real manufacturer");
-    let payload = job_payload(mfr, token.index as usize, token.seed, Scale::Smoke, &token.workload);
-    let replayed = execute_payload(&payload, &CancelToken::new()).expect("replay executes");
+    assert_eq!(token.job.module_id(), report.replay_tokens[0].0, "the token names its module");
+    let replayed = run_job(&token.job, &CancelToken::new()).expect("replay executes");
     assert_eq!(
         fnv1a64(replayed.to_string().as_bytes()),
         token.result_hash,

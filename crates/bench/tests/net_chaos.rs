@@ -10,7 +10,7 @@
 //!   must end in a *degraded partial* report once its breaker is
 //!   evicted — never a wedged coordinator.
 
-use rh_bench::{run_fleet, run_fleet_local, FleetConfig};
+use rh_bench::{run_campaign, run_fleet, FleetConfig, RunConfig};
 use rh_core::fleet::BreakerPolicy;
 use rh_core::Scale;
 use rh_obs::{http_get, names};
@@ -111,18 +111,13 @@ fn results_key(results: &[(String, Value)]) -> String {
         .join("\n")
 }
 
-/// The deterministic fault-free oracle for the chaos run's job set.
-fn oracle_key(seed: u64, workload: &str) -> String {
-    let cfg = FleetConfig {
-        seed,
-        scale: Scale::Default,
-        modules_per_mfr: 1,
-        workload: workload.to_string(),
-        ..FleetConfig::default()
-    };
-    let report = run_fleet_local(&cfg).expect("local oracle run");
-    assert!(report.is_clean());
-    results_key(&report.results)
+/// The deterministic fault-free oracle for the chaos run's job set:
+/// the same target's local campaign.
+fn oracle_key(seed: u64, target: &str) -> String {
+    let cfg = RunConfig { seed, scale: Scale::Default, modules_per_mfr: 1, ..RunConfig::default() };
+    let local = run_campaign(target, &cfg).expect("local oracle run");
+    assert!(local.report.is_clean());
+    results_key(&local.results)
 }
 
 #[test]
@@ -141,7 +136,7 @@ fn seeded_flaky_link_with_worker_kill_matches_fault_free_oracle() {
         seed,
         scale: Scale::Default,
         modules_per_mfr: 1,
-        workload: "temp_ranges".to_string(),
+        target: "table3".to_string(),
         lease_ms: 1_500,
         poll_ms: 50,
         net_fault: Some(rh_obs::NetFaultPlan::flaky_link(seed)),
@@ -178,7 +173,7 @@ fn seeded_flaky_link_with_worker_kill_matches_fault_free_oracle() {
     // oracle: chaos may reorder and retry, never corrupt.
     let ids: BTreeSet<_> = report.results.iter().map(|(id, _)| id.clone()).collect();
     assert_eq!(ids.len(), report.results.len(), "duplicate module results");
-    assert_eq!(results_key(&report.results), oracle_key(seed, "temp_ranges"));
+    assert_eq!(results_key(&report.results), oracle_key(seed, "table3"));
 
     // The chaos was real and the breakers reacted to it: the injector
     // fired, and the killed worker's failures tripped its breaker.
@@ -210,7 +205,7 @@ fn permanently_dead_worker_completes_degraded_instead_of_wedging() {
         seed: 7,
         scale: Scale::Smoke,
         modules_per_mfr: 1,
-        workload: "row_variation".to_string(),
+        target: "fig11".to_string(),
         poll_ms: 20,
         breaker: BreakerPolicy {
             failure_threshold: 2,

@@ -99,6 +99,29 @@ fn smoke_run_emits_trace_and_metrics() {
             assert!(v.field("elapsed_us").as_u64().is_some());
         }
     }
+    // Spans nest across the executor's threads: every campaign.module
+    // span, opened on a pool thread, is a child of its target's
+    // bench.target span in the same trace.
+    let spans: Vec<Value> = jsonl
+        .lines()
+        .map(|l| serde_json::from_str::<Value>(l).expect("line parses"))
+        .filter(|v| v.field("kind").as_str() == Some("span"))
+        .collect();
+    let id = |v: &Value, key: &str| v.field(key).as_str().expect("span ids present").to_string();
+    let modules: Vec<&Value> =
+        spans.iter().filter(|v| v.field("name").as_str() == Some("campaign.module")).collect();
+    assert!(!modules.is_empty(), "campaign.module spans in the trace");
+    for module in modules {
+        let parent = spans.iter().find(|v| {
+            id(v, "span_id") == id(module, "parent_id") && id(v, "trace_id") == id(module, "trace_id")
+        });
+        assert_eq!(
+            parent.and_then(|p| p.field("name").as_str()),
+            Some("bench.target"),
+            "campaign.module span must nest under bench.target: {module:?}"
+        );
+    }
+
     // A quarantine event round-trips its fields through JSON.
     let quarantine = jsonl
         .lines()

@@ -27,7 +27,7 @@ use crate::progress::ProgressTracker;
 use crate::Characterizer;
 use rh_obs::names;
 use rh_softmc::CancelToken;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -366,7 +366,7 @@ impl CampaignRunner {
             ..FleetPolicy::default()
         });
         for task in &tasks {
-            table.add_job(task.id.as_str(), Value::Null);
+            table.add_job(task.id.as_str(), None);
         }
         if let Some(path) = &self.checkpoint {
             table.with_checkpoint(path.as_path())?;

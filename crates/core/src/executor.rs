@@ -155,6 +155,9 @@ where
     // Every task is enqueued before the pool starts, so queue wait is
     // simply pop time minus pool start.
     let pool_start = Instant::now();
+    // The caller's span: pool threads adopt it, so the spans they open
+    // nest under it instead of starting traces of their own.
+    let parent = rh_obs::current_context();
 
     // Decides slot `idx` with `r` if nobody has yet; the winner commits
     // and bumps the rendezvous count.
@@ -183,37 +186,42 @@ where
             let work = &work;
             let on_cancelled = &on_cancelled;
             let decide = &decide;
-            s.spawn(move || while let Some(idx) = pop_task(queues, w) {
-                if rh_obs::enabled() {
-                    let wait_ns =
-                        u64::try_from(pool_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    rh_obs::histogram!(names::EXECUTOR_QUEUE_WAIT_NS, wait_ns);
+            s.spawn(move || {
+                if let Some(ctx) = parent {
+                    rh_obs::set_remote_parent(ctx);
                 }
-                rh_obs::gauge(
-                    names::EXECUTOR_QUEUE_DEPTH,
-                    queued.fetch_sub(1, Ordering::Relaxed).saturating_sub(1) as f64,
-                );
-                if cancel.is_cancelled() {
-                    decide(idx, on_cancelled(idx), state::PENDING);
-                    continue;
+                while let Some(idx) = pop_task(queues, w) {
+                    if rh_obs::enabled() {
+                        let wait_ns =
+                            u64::try_from(pool_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                        rh_obs::histogram!(names::EXECUTOR_QUEUE_WAIT_NS, wait_ns);
+                    }
+                    rh_obs::gauge(
+                        names::EXECUTOR_QUEUE_DEPTH,
+                        queued.fetch_sub(1, Ordering::Relaxed).saturating_sub(1) as f64,
+                    );
+                    if cancel.is_cancelled() {
+                        decide(idx, on_cancelled(idx), state::PENDING);
+                        continue;
+                    }
+                    *lock(&slots[idx].started) = Some(Instant::now());
+                    if slots[idx]
+                        .state
+                        .compare_exchange(
+                            state::PENDING,
+                            state::RUNNING,
+                            Ordering::AcqRel,
+                            Ordering::Acquire,
+                        )
+                        .is_err()
+                    {
+                        continue;
+                    }
+                    let r = work(idx, &slots[idx].token);
+                    // Losing the race means the watchdog already timed this
+                    // slot out; the late result is dropped.
+                    decide(idx, r, state::RUNNING);
                 }
-                *lock(&slots[idx].started) = Some(Instant::now());
-                if slots[idx]
-                    .state
-                    .compare_exchange(
-                        state::PENDING,
-                        state::RUNNING,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    )
-                    .is_err()
-                {
-                    continue;
-                }
-                let r = work(idx, &slots[idx].token);
-                // Losing the race means the watchdog already timed this
-                // slot out; the late result is dropped.
-                decide(idx, r, state::RUNNING);
             });
         }
 
@@ -224,6 +232,9 @@ where
             let decide = &decide;
             let interval = cfg.watchdog_interval.max(Duration::from_millis(1));
             s.spawn(move || {
+                if let Some(ctx) = parent {
+                    rh_obs::set_remote_parent(ctx);
+                }
                 let mut span = rh_obs::span(names::EXECUTOR_WATCHDOG);
                 let mut ticks = 0u64;
                 let mut timeouts = 0u64;

@@ -58,9 +58,13 @@
 //! All methods take the current time as a parameter (`now_ms`), so
 //! the whole state machine is deterministic under test.
 
-use crate::campaign::{CampaignReport, ModuleOutcome, ModuleStatus, RetryPolicy};
+use crate::campaign::{module_id, CampaignReport, ModuleOutcome, ModuleStatus, RetryPolicy};
+use crate::config::Scale;
 use crate::error::CharError;
+use crate::Characterizer;
+use rh_dram::{ddr4_modules_of, Manufacturer, TestedModule};
 use rh_obs::names;
+use rh_softmc::{CancelToken, FaultPlan, TestBench};
 use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
 
@@ -114,12 +118,81 @@ enum JobPhase {
     Done(ModuleStatus),
 }
 
+/// One module's experiment: the unit a local campaign runs and a
+/// fleet worker executes. `target` names the campaign-backed `repro`
+/// target whose per-module experiment runs; the other fields pick the
+/// simulated module and the plan. The result is deterministic in the
+/// job, so any worker (or a replay) reproduces it bit for bit.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ModuleJob {
+    /// Campaign-backed target (e.g. `table3`).
+    pub target: String,
+    /// Manufacturer of the module.
+    pub mfr: Manufacturer,
+    /// Module index within the manufacturer (wraps around its
+    /// tested modules).
+    pub index: usize,
+    /// Base seed, exactly as `repro --seed`.
+    pub seed: u64,
+    /// Experiment scale.
+    pub scale: Scale,
+}
+
+impl ModuleJob {
+    /// The checkpoint-stable module id, `<mfr>-<module seed>#<index>`.
+    #[must_use]
+    pub fn module_id(&self) -> String {
+        let (_, identity) = tested_module(self.mfr, self.index, self.seed);
+        format!("{}#{}", module_id(self.mfr, identity), self.index)
+    }
+
+    /// A fresh characterizer of the job's module for one attempt. The
+    /// cancel token is installed before the (expensive) build, so even
+    /// bring-up unwinds promptly; `faults` are re-derived from the
+    /// attempt number, so a transient fault does not replay identically
+    /// on every retry.
+    ///
+    /// # Errors
+    ///
+    /// [`CharError`] from the characterizer's bring-up.
+    pub fn characterizer(
+        &self,
+        faults: Option<&FaultPlan>,
+        attempt: u32,
+        cancel: &CancelToken,
+    ) -> Result<Characterizer, CharError> {
+        let mut bench = module_bench(self.mfr, self.index, self.seed);
+        bench.set_cancel_token(cancel.clone());
+        if let Some(plan) = faults {
+            bench.install_faults(&plan.for_attempt(attempt));
+        }
+        Characterizer::new(bench, self.scale)
+    }
+}
+
+/// The tested module that index `index` of `mfr` wraps to, and its
+/// identity seed under base `seed`.
+fn tested_module(mfr: Manufacturer, index: usize, seed: u64) -> (TestedModule, u64) {
+    let mut modules = ddr4_modules_of(mfr);
+    let module = modules.swap_remove(index % modules.len());
+    let identity = module.seed() ^ seed.rotate_left(17);
+    (module, identity)
+}
+
+/// A fault-free bench of module `index` of `mfr` under base `seed`.
+#[must_use]
+pub fn module_bench(mfr: Manufacturer, index: usize, seed: u64) -> TestBench {
+    let (module, identity) = tested_module(mfr, index, seed);
+    TestBench::with_config(module.module_config(), mfr, identity)
+}
+
 /// One job: a module plus its dispatch history.
 #[derive(Debug)]
 struct Job {
     module_id: String,
-    /// Opaque work description; the worker interprets it.
-    payload: Value,
+    /// What a worker runs; `None` for local campaign modules, whose
+    /// work is a closure.
+    job: Option<ModuleJob>,
     /// Leases granted so far.
     attempts: u32,
     phase: JobPhase,
@@ -130,8 +203,8 @@ struct Job {
     /// The committed result; `Some` exactly when the job committed.
     result: Option<Value>,
     /// Replay token minted when the result committed (see
-    /// [`ReplayToken`]); `None` until then, and forever for payloads
-    /// that do not describe a replayable workload.
+    /// [`ReplayToken`]); `None` until then, and forever for jobs
+    /// without a [`ModuleJob`].
     token: Option<String>,
 }
 
@@ -166,8 +239,8 @@ impl Job {
 pub struct JobGrant {
     /// Stable module identifier (the commit key for reports).
     pub module_id: String,
-    /// Opaque work description; the worker interprets it.
-    pub payload: Value,
+    /// The work; `None` only for local campaign grants.
+    pub job: Option<ModuleJob>,
     /// Fleet-unique lease identifier.
     pub lease_id: u64,
     /// Grant generation for this module.
@@ -237,11 +310,12 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// tag):
 ///
 /// ```text
-/// rtv1:<workload>:<mfr>:<index>:<seed:016x>:<scale>:<net-plan>:<net-seed:016x>:<result-hash:016x>:<trace:032x>
+/// rtv1:<target>:<mfr>:<index>:<seed:016x>:<scale>:<net-plan>:<net-seed:016x>:<result-hash:016x>:<trace:032x>
 /// ```
 ///
-/// `workload`/`mfr`/`index`/`seed`/`scale` identify the module profile
-/// and command seed; `net-plan`/`net-seed` pin the network-fault
+/// `target`/`mfr`/`index`/`seed`/`scale` are the [`ModuleJob`] (`mfr`
+/// and `scale` by their serde names, e.g. `A` and `Smoke`);
+/// `net-plan`/`net-seed` pin the network-fault
 /// environment the result survived (informational for replay — the
 /// single-process re-execution runs fault-free and must still match);
 /// `result-hash` is [`fnv1a64`] over the committed result's compact
@@ -249,16 +323,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// produced it (0 for local runs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayToken {
-    /// Worker workload name (e.g. `row_variation`).
-    pub workload: String,
-    /// Manufacturer debug name (e.g. `MfrA`).
-    pub mfr: String,
-    /// Module index within the manufacturer.
-    pub index: u64,
-    /// Command seed the job ran under.
-    pub seed: u64,
-    /// Scale debug name (e.g. `Smoke`).
-    pub scale: String,
+    /// The job that produced the result.
+    pub job: ModuleJob,
     /// Armed net-fault plan name (`none` when unfaulted).
     pub net_plan: String,
     /// Net-fault plan seed (0 when unfaulted).
@@ -286,14 +352,19 @@ impl ReplayToken {
         let hex = |what: &str, s: &str| -> Result<u128, String> {
             u128::from_str_radix(s, 16).map_err(|e| format!("bad {what} '{s}': {e}"))
         };
-        let index: u64 =
-            parts[3].parse().map_err(|e| format!("bad index '{}': {e}", parts[3]))?;
-        Ok(Self {
-            workload: parts[1].to_string(),
-            mfr: parts[2].to_string(),
-            index,
+        // `mfr` and `scale` travel by their serde names.
+        let named = |s: &str| Value::Str(s.to_string());
+        let job = ModuleJob {
+            target: parts[1].to_string(),
+            mfr: Manufacturer::from_json_value(&named(parts[2]))
+                .map_err(|e| format!("bad manufacturer '{}': {e}", parts[2]))?,
+            index: parts[3].parse().map_err(|e| format!("bad index '{}': {e}", parts[3]))?,
             seed: hex("seed", parts[4])? as u64,
-            scale: parts[5].to_string(),
+            scale: Scale::from_json_value(&named(parts[5]))
+                .map_err(|e| format!("bad scale '{}': {e}", parts[5]))?,
+        };
+        Ok(Self {
+            job,
             net_plan: parts[6].to_string(),
             net_seed: hex("net seed", parts[7])? as u64,
             result_hash: hex("result hash", parts[8])? as u64,
@@ -302,44 +373,38 @@ impl ReplayToken {
     }
 }
 
-/// Mints a [`ReplayToken`] for a committed `(payload, result)` pair,
-/// or `None` when the payload does not carry the full replayable
-/// profile (`workload`/`mfr`/`index`/`seed`/`scale`) — synthetic test
-/// payloads stay tokenless rather than minting garbage.
+/// Mints the [`ReplayToken`] of `job`'s committed `result`.
 #[must_use]
-pub fn mint_replay_token(
-    payload: &Value,
+fn mint_replay_token(
+    job: &ModuleJob,
     result: &Value,
     net_plan: &str,
     net_seed: u64,
     trace_id: u128,
-) -> Option<String> {
-    let token = ReplayToken {
-        workload: payload.field("workload").as_str()?.to_string(),
-        mfr: payload.field("mfr").as_str()?.to_string(),
-        index: payload.field("index").as_u64()?,
-        seed: payload.field("seed").as_u64()?,
-        scale: payload.field("scale").as_str()?.to_string(),
+) -> String {
+    ReplayToken {
+        job: job.clone(),
         net_plan: net_plan.to_string(),
         net_seed,
         result_hash: fnv1a64(result.to_string().as_bytes()),
         trace_id,
-    };
-    Some(token.to_string())
+    }
+    .to_string()
 }
 
 impl std::fmt::Display for ReplayToken {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // ':' inside free-text fields would shift every later field.
         let clean = |s: &str| s.replace(':', "_");
+        let name = |v: Value| v.as_str().unwrap_or_default().to_string();
         write!(
             f,
             "rtv1:{}:{}:{}:{:016x}:{}:{}:{:016x}:{:016x}:{:032x}",
-            clean(&self.workload),
-            clean(&self.mfr),
-            self.index,
-            self.seed,
-            clean(&self.scale),
+            clean(&self.job.target),
+            name(self.job.mfr.to_json_value()),
+            self.job.index,
+            self.job.seed,
+            name(self.job.scale.to_json_value()),
             clean(&self.net_plan),
             self.net_seed,
             self.result_hash,
@@ -350,7 +415,7 @@ impl std::fmt::Display for ReplayToken {
 
 /// Structured summary of a fleet run (or, inside
 /// [`CampaignRunner`](crate::CampaignRunner), of a local one).
-/// `results` carries the committed payloads in job input order, so a
+/// `results` carries the committed results in job input order, so a
 /// fleet run of seed *s* renders bit-identically to a single-process
 /// run of seed *s*.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -371,8 +436,8 @@ pub struct FleetReport {
     /// nonzero with `degraded == false` means the fleet rode through
     /// the losses).
     pub workers_lost: u64,
-    /// `(module id, replay token)` for each committed result whose
-    /// payload describes a replayable workload (see [`ReplayToken`]).
+    /// `(module id, replay token)` for each committed result of a
+    /// [`ModuleJob`] (see [`ReplayToken`]).
     pub replay_tokens: Vec<(String, String)>,
 }
 
@@ -744,10 +809,10 @@ impl JobTable {
     }
 
     /// Admits one job. Input order is report order.
-    pub fn add_job(&mut self, module_id: impl Into<String>, payload: Value) {
+    pub fn add_job(&mut self, module_id: impl Into<String>, job: Option<ModuleJob>) {
         self.jobs.push(Job {
             module_id: module_id.into(),
-            payload,
+            job,
             attempts: 0,
             phase: JobPhase::Pending { not_before_ms: 0 },
             errors: Vec::new(),
@@ -797,8 +862,10 @@ impl JobTable {
                 })?;
                 // Re-mint the replay token rather than persist it: a
                 // resumed result is local to this incarnation (trace 0).
-                job.token =
-                    mint_replay_token(&job.payload, &result, &self.net_plan, self.net_seed, 0);
+                job.token = job
+                    .job
+                    .as_ref()
+                    .map(|j| mint_replay_token(j, &result, &self.net_plan, self.net_seed, 0));
                 job.result = Some(result);
             }
             // Every retry logged one backoff: attempts = retries + 1.
@@ -888,7 +955,7 @@ impl JobTable {
         );
         Ok(JobGrant {
             module_id: module_id.to_string(),
-            payload: job.payload.clone(),
+            job: job.job.clone(),
             lease_id,
             generation,
             lease_ms,
@@ -1047,8 +1114,9 @@ impl JobTable {
                     .iter()
                     .find(|(id, _)| *id == lease_id)
                     .map_or(0, |&(_, t)| t);
-                job.token =
-                    mint_replay_token(&job.payload, &result, &self.net_plan, self.net_seed, trace_id);
+                job.token = job.job.as_ref().map(|j| {
+                    mint_replay_token(j, &result, &self.net_plan, self.net_seed, trace_id)
+                });
                 job.result = Some(result);
                 job.phase = JobPhase::Done(match job.attempts {
                     0 | 1 => ModuleStatus::Succeeded,
@@ -1294,49 +1362,61 @@ mod tests {
             lease_ms: 1_000,
             suspect_after_misses: 2,
         });
-        t.add_job("m0", json!({"n": 0}));
-        t.add_job("m1", json!({"n": 1}));
+        t.add_job("m0", None);
+        t.add_job("m1", None);
         t
+    }
+
+    fn job() -> ModuleJob {
+        ModuleJob {
+            target: "fig11".to_string(),
+            mfr: Manufacturer::A,
+            index: 3,
+            seed: 42,
+            scale: Scale::Smoke,
+        }
     }
 
     #[test]
     fn replay_token_round_trips_and_rejects_malformed() {
         let token = ReplayToken {
-            workload: "row_variation".to_string(),
-            mfr: "MfrA".to_string(),
-            index: 3,
-            seed: 42,
-            scale: "Smoke".to_string(),
+            job: job(),
             net_plan: "flaky-link".to_string(),
             net_seed: 7,
             result_hash: 0xdead_beef,
             trace_id: 0xabc,
         };
         let wire = token.to_string();
-        assert!(wire.starts_with("rtv1:row_variation:MfrA:3:"), "got {wire}");
+        assert!(wire.starts_with("rtv1:fig11:A:3:000000000000002a:Smoke:"), "got {wire}");
         assert_eq!(ReplayToken::parse(&wire), Ok(token.clone()));
         // Colons in free-text fields must not shift later fields.
         let evil = ReplayToken { net_plan: "a:b".to_string(), ..token };
         assert_eq!(ReplayToken::parse(&evil.to_string()).map(|t| t.net_plan), Ok("a_b".into()));
-        for bad in ["", "rtv1:short", "rtv2:w:m:1:0:s:p:0:0:0", "rtv1:w:m:x:0:s:p:0:0:0"] {
+        for bad in [
+            "",
+            "rtv1:short",
+            "rtv2:w:A:1:0:Smoke:p:0:0:0",
+            "rtv1:w:A:x:0:Smoke:p:0:0:0",
+            "rtv1:w:MfrA:1:0:Smoke:p:0:0:0",
+            "rtv1:w:A:1:0:Huge:p:0:0:0",
+        ] {
             assert!(ReplayToken::parse(bad).is_err(), "accepted {bad:?}");
         }
     }
 
     #[test]
-    fn commit_mints_replay_tokens_for_replayable_payloads_only() {
+    fn commit_mints_replay_tokens_for_module_jobs_only() {
         let mut t = table();
-        t.add_job(
-            "mfr_a#0",
-            json!({"mfr": "MfrA", "index": 0, "seed": 9, "scale": "Smoke",
-                   "workload": "row_variation"}),
-        );
+        let j = ModuleJob { index: 0, seed: 9, ..job() };
+        t.add_job(j.module_id(), Some(j.clone()));
         t.set_replay_context("flaky-link", 1234);
-        // Synthetic payload: committed, but tokenless.
+        // A local campaign module: committed, but tokenless.
         let g = t.grant("m0", "w1", 0).unwrap();
+        assert_eq!(g.job, None);
         assert_eq!(t.commit(g.lease_id, json!({"ok": true})), CommitOutcome::Committed);
-        // Replayable payload, with a trace bound to the lease.
-        let g = t.grant("mfr_a#0", "w1", 0).unwrap();
+        // A module job, with a trace bound to the lease.
+        let g = t.grant(&j.module_id(), "w1", 0).unwrap();
+        assert_eq!(g.job.as_ref(), Some(&j), "the grant carries the job");
         t.bind_trace(g.lease_id, 0xfeed);
         let result = json!({"ber": 0.5});
         assert_eq!(t.commit(g.lease_id, result.clone()), CommitOutcome::Committed);
@@ -1345,10 +1425,9 @@ mod tests {
             report.replay_tokens.iter().find(|(m, _)| m == id).map(|(_, token)| token.clone())
         };
         assert_eq!(token_of("m0"), None);
-        let token_str = token_of("mfr_a#0").expect("token minted");
+        let token_str = token_of(&j.module_id()).expect("token minted");
         let token = ReplayToken::parse(&token_str).expect("token parses");
-        assert_eq!(token.workload, "row_variation");
-        assert_eq!((token.index, token.seed), (0, 9));
+        assert_eq!(token.job, j);
         assert_eq!((token.net_plan.as_str(), token.net_seed), ("flaky-link", 1234));
         assert_eq!(token.trace_id, 0xfeed);
         assert_eq!(
@@ -1356,6 +1435,14 @@ mod tests {
             fnv1a64(rh_core_result_json(&result).as_bytes()),
             "hash covers the committed result's compact JSON"
         );
+    }
+
+    #[test]
+    fn module_job_round_trips_through_json() {
+        let j = job();
+        let v = j.to_json_value();
+        assert_eq!(v.to_string(), r#"{"target":"fig11","mfr":"A","index":3,"seed":42,"scale":"Smoke"}"#);
+        assert_eq!(ModuleJob::from_json_value(&v), Ok(j));
     }
 
     /// Compact-JSON helper mirroring what the minting path hashes.
@@ -1543,7 +1630,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         let mut t = table();
-        t.add_job("m2", json!({"n": 2}));
+        t.add_job("m2", None);
         t.with_checkpoint(&path).unwrap();
         let g0 = t.grant("m0", "w1", 0).unwrap();
         assert_eq!(t.commit(g0.lease_id, json!({"ok": 0})), CommitOutcome::Committed);
@@ -1560,9 +1647,9 @@ mod tests {
             lease_ms: 1_000,
             suspect_after_misses: 2,
         });
-        resumed.add_job("m0", json!({"n": 0}));
-        resumed.add_job("m1", json!({"n": 1}));
-        resumed.add_job("m2", json!({"n": 2}));
+        resumed.add_job("m0", None);
+        resumed.add_job("m1", None);
+        resumed.add_job("m2", None);
         resumed.with_checkpoint(&path).unwrap();
 
         // Committed and quarantined entries survive; only the

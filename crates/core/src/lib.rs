@@ -71,8 +71,8 @@ pub use campaign::{
 pub use config::{Scale, TestPlan};
 pub use error::CharError;
 pub use fleet::{
-    fnv1a64, mint_replay_token, verify_checkpoint, CommitOutcome, FailOutcome, FleetPolicy,
-    FleetReport, JobGrant, JobTable, LeaseState, ReplayToken,
+    fnv1a64, module_bench, verify_checkpoint, CommitOutcome, FailOutcome,
+    FleetPolicy, FleetReport, JobGrant, JobTable, LeaseState, ModuleJob, ReplayToken,
 };
 pub use executor::ExecutorConfig;
 pub use metrics::{BerMeasurement, Characterizer};
