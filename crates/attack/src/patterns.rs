@@ -1,7 +1,7 @@
 //! RowHammer access patterns and a uniform attack executor.
 
 use rh_core::{CharError, Characterizer};
-use rh_dram::{Picos, RowAddr};
+use rh_dram::{bit_errors, Picos, RowAddr};
 use serde::{Deserialize, Serialize};
 
 /// How the attacker arranges aggressor rows around the victim.
@@ -86,11 +86,7 @@ pub fn execute(
     let logical = ch.logical_of(victim);
     let read = ch.bench_mut().module_mut().read_row_direct(bank, logical)?;
     let expect = data.row_fill(victim, 0, read.len());
-    let flips = read
-        .iter()
-        .zip(&expect)
-        .map(|(a, b)| u64::from((a ^ b).count_ones()))
-        .sum();
+    let flips = bit_errors(&read, &expect);
     let duration = hammers * aggressors.len() as u64 * (t_on + t_off);
     Ok(AttackOutcome { flips, hammers, duration })
 }

@@ -7,7 +7,7 @@ use crate::config::Scale;
 use crate::error::CharError;
 use crate::mapping_re;
 use crate::wcdp;
-use rh_dram::{BankId, DataPattern, Picos, RowAddr, RowMapping};
+use rh_dram::{bit_errors, flipped_bits, BankId, DataPattern, Picos, RowAddr, RowMapping};
 use rh_softmc::TestBench;
 use serde::{Deserialize, Serialize};
 use rh_obs::names;
@@ -155,11 +155,7 @@ impl Characterizer {
         let logical = self.mapping.physical_to_logical(phys);
         let read = self.bench.module_mut().read_row_direct(self.bank, logical)?;
         let expect = pattern.row_fill(phys, d, read.len());
-        Ok(read
-            .iter()
-            .zip(&expect)
-            .map(|(a, b)| u64::from((a ^ b).count_ones()))
-            .sum())
+        Ok(bit_errors(&read, &expect))
     }
 
     /// The preamble of every double-sided test: writes the victim's
@@ -233,16 +229,7 @@ impl Characterizer {
         let logical = self.mapping.physical_to_logical(victim_phys);
         let read = self.bench.module_mut().read_row_direct(self.bank, logical)?;
         let expect = pattern.row_fill(victim_phys, 0, read.len());
-        let mut out = Vec::new();
-        for (i, (a, b)) in read.iter().zip(&expect).enumerate() {
-            let mut diff = a ^ b;
-            while diff != 0 {
-                let bit = diff.trailing_zeros() as u8;
-                out.push((i as u32, bit));
-                diff &= diff - 1;
-            }
-        }
-        Ok(out)
+        Ok(flipped_bits(&read, &expect).collect())
     }
 
     /// Whether a single double-sided test at `hammers` flips any bit in

@@ -7,7 +7,7 @@
 //! improvements do).
 
 use crate::traits::{Defense, DefenseAction};
-use rh_dram::{BankId, DramModule, Picos, RowAddr, RowMapping};
+use rh_dram::{bit_errors, BankId, DramModule, Picos, RowAddr, RowMapping};
 use rh_softmc::{SoftMcError, TestBench};
 use serde::{Deserialize, Serialize};
 use rh_obs::names;
@@ -149,11 +149,12 @@ impl DefenseSim {
         let budget = time_budget.unwrap_or(timing.t_refw);
         let row_bytes = self.bench.module().row_bytes();
         // Victim neighborhood: all zeros (anti-cells flip).
+        let zeros = vec![0u8; row_bytes];
         let reach = 2 * i64::from(pairs);
         for d in -reach..=reach {
             let phys = victim.offset(d);
             let logical = self.mapping.physical_to_logical(phys);
-            self.bench.module_mut().write_row_direct(self.bank, logical, &vec![0u8; row_bytes])?;
+            self.bench.module_mut().write_row_direct(self.bank, logical, &zeros)?;
         }
         let mut aggressors = Vec::with_capacity(2 * pairs as usize);
         for d in 1..=i64::from(pairs) {
@@ -202,7 +203,7 @@ impl DefenseSim {
         run.flush(self.bench.module_mut())?;
         let logical = self.mapping.physical_to_logical(victim);
         let read = self.bench.module_mut().read_row_direct(self.bank, logical)?;
-        outcome.victim_flips = read.iter().map(|b| u64::from(b.count_ones())).sum();
+        outcome.victim_flips = bit_errors(&read, &zeros);
         span.set("activations", run.flushed);
         span.set("flushes", run.flushes);
         Ok(outcome)

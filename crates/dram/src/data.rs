@@ -131,6 +131,63 @@ impl DataPattern {
     }
 }
 
+/// The XOR of `a` and `b` over their common length, as little-endian
+/// `u64` lanes paired with each lane's byte offset. The last lane
+/// holds the byte tail zero-padded, so a set bit `k` of the lane at
+/// offset `o` is bit `k % 8` of byte `o + k / 8`.
+fn xor_lanes<'a>(a: &'a [u8], b: &'a [u8]) -> impl Iterator<Item = (usize, u64)> + 'a {
+    fn lane(bytes: &[u8]) -> u64 {
+        let mut word = [0u8; 8];
+        word[..bytes.len()].copy_from_slice(bytes);
+        u64::from_le_bytes(word)
+    }
+    let n = a.len().min(b.len());
+    let (a, b) = (a[..n].chunks_exact(8), b[..n].chunks_exact(8));
+    let tail = lane(a.remainder()) ^ lane(b.remainder());
+    a.zip(b)
+        .map(|(x, y)| lane(x) ^ lane(y))
+        .chain(std::iter::once(tail))
+        .enumerate()
+        .map(|(i, x)| (8 * i, x))
+}
+
+/// The number of bits in which a read-back row differs from the
+/// pattern written to it, counted over the common length of `a` and
+/// `b` (bytes past the shorter slice are not compared).
+///
+/// ```
+/// use rh_dram::bit_errors;
+///
+/// assert_eq!(bit_errors(&[0xFF; 9], &[0x00; 9]), 72);
+/// assert_eq!(bit_errors(&[0x0F, 0x01], &[0x00]), 4);
+/// ```
+pub fn bit_errors(a: &[u8], b: &[u8]) -> u64 {
+    xor_lanes(a, b).map(|(_, x)| u64::from(x.count_ones())).sum()
+}
+
+/// The `(byte, bit)` positions in which `a` and `b` differ over their
+/// common length, byte-major and bit-minor (bit 0 = least significant)
+/// — the positions [`bit_errors`] counts.
+///
+/// ```
+/// use rh_dram::flipped_bits;
+///
+/// let cells: Vec<_> = flipped_bits(&[0x00, 0x81], &[0x04, 0x00]).collect();
+/// assert_eq!(cells, [(0, 2), (1, 0), (1, 7)]);
+/// ```
+pub fn flipped_bits<'a>(a: &'a [u8], b: &'a [u8]) -> impl Iterator<Item = (u32, u8)> + 'a {
+    xor_lanes(a, b).flat_map(|(offset, mut x)| {
+        std::iter::from_fn(move || {
+            if x == 0 {
+                return None;
+            }
+            let k = x.trailing_zeros() as usize;
+            x &= x - 1;
+            Some(((offset + k / 8) as u32, (k % 8) as u8))
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -52,7 +52,7 @@ pub mod timing;
 
 pub use bank::{AggressionStats, Bank, BankState};
 pub use command::{Command, TimedCommand};
-pub use data::{DataPattern, PatternKind};
+pub use data::{bit_errors, flipped_bits, DataPattern, PatternKind};
 pub use energy::{EnergyModel, Picojoules};
 pub use error::DramError;
 pub use geometry::{
