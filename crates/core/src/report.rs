@@ -344,7 +344,11 @@ pub fn observations(checks: &[ObservationCheck]) -> String {
             s,
             "Obsv.{:>2} [{}] {} — {}",
             c.id,
-            if c.passed { "ok" } else { "FAIL" },
+            match c.passed {
+                Some(true) => "ok",
+                Some(false) => "FAIL",
+                None => "n/a",
+            },
             c.statement,
             c.detail
         );

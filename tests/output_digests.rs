@@ -46,7 +46,7 @@ const HC_FIRST_PINS: &[(&str, Faults, &str)] = &[
     ("fig10", None, "fd77de81b79c65ca"),
     ("fig14", None, "69cd57c079c682b3"),
     ("fig15", None, "c78e25e6e6e8ad2e"),
-    ("observations", None, "7412c3e8987a180c"),
+    ("observations", None, "dab802fbac1ca677"),
     ("attack1", None, "e88bd49230b71009"),
     ("attack3", None, "184966fc91e555fd"),
     ("defense2", None, "abd0cc23517e069d"),
