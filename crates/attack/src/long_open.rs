@@ -10,6 +10,7 @@
 
 use rh_core::{CharError, Characterizer};
 use rh_dram::RowAddr;
+use rh_obs::names;
 use rh_softmc::Program;
 use serde::{Deserialize, Serialize};
 
@@ -67,6 +68,9 @@ pub fn long_open_study(
     victims: &[u32],
     reads: u32,
 ) -> Result<LongOpenStudy, CharError> {
+    let mut span = rh_obs::span(names::ATTACK_LONG_OPEN);
+    span.set("victims", victims.len());
+    span.set("reads", u64::from(reads));
     let timing = ch.bench().module().config().timing;
     let t_on = Program::read_extended_t_on(reads, &timing);
     let pattern = ch.wcdp();

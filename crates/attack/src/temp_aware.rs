@@ -8,6 +8,7 @@
 
 use rh_core::{CharError, Characterizer};
 use rh_dram::RowAddr;
+use rh_obs::names;
 use serde::{Deserialize, Serialize};
 
 /// Outcome of the temperature-aware targeting study.
@@ -38,6 +39,9 @@ pub fn temperature_aware_study(
     candidates: &[u32],
     temperature: f64,
 ) -> Result<TempAwareStudy, CharError> {
+    let mut span = rh_obs::span(names::ATTACK_TEMP_AWARE);
+    span.set("candidates", candidates.len());
+    span.set("temperature", temperature);
     ch.set_temperature(temperature)?;
     let pattern = ch.wcdp();
     let mut profiled: Vec<(u32, u64)> = Vec::new();

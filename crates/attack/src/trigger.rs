@@ -8,6 +8,7 @@
 
 use rh_core::{CharError, Characterizer};
 use rh_dram::RowAddr;
+use rh_obs::names;
 use serde::{Deserialize, Serialize};
 
 /// A calibrated temperature trigger.
@@ -63,6 +64,9 @@ pub fn build_trigger(
     max_width: f64,
 ) -> Result<TriggerStudy, CharError> {
     let grid = ch.scale().temperatures();
+    let mut span = rh_obs::span(names::ATTACK_TRIGGER);
+    span.set("candidates", candidates.len());
+    span.set("temperatures", grid.len());
     let pattern = ch.wcdp();
     let hammers = rh_core::metrics::BER_HAMMERS;
     // (row, byte, bit) -> temps where it flips. Ordered, so ties on

@@ -22,6 +22,10 @@ fn smoke_run_emits_trace_and_metrics() {
     // counters); fig4 is a campaign-managed hammer-count sweep.
     run_target("fig6", &cfg).expect("fig6");
     run_target("fig4", &cfg).expect("fig4");
+    // The three §8.1 attack studies, each under its own attack.* span.
+    for target in ["attack1", "attack2", "attack3"] {
+        run_target(target, &cfg).expect(target);
+    }
 
     // An always-failing host link: every module fails its first
     // attempt with a transient HostLink error (one retry event), fails
@@ -80,7 +84,7 @@ fn smoke_run_emits_trace_and_metrics() {
     assert!(rec.events_named("campaign.cancelled") > 0);
     let spans = rec.span_stats();
     assert!(spans.get("campaign.module").map_or(0, |s| s.count) > 0);
-    assert!(spans.get("bench.target").map_or(0, |s| s.count) >= 5);
+    assert!(spans.get("bench.target").map_or(0, |s| s.count) >= 8);
     assert!(spans.get("executor.watchdog").map_or(0, |s| s.count) > 0, "watchdog span recorded");
     // The executor published its queue-depth gauge at least once.
     assert!(rec.gauge_value("executor.queue_depth").is_some(), "queue-depth gauge set");
@@ -99,27 +103,35 @@ fn smoke_run_emits_trace_and_metrics() {
             assert!(v.field("elapsed_us").as_u64().is_some());
         }
     }
-    // Spans nest across the executor's threads: every campaign.module
-    // span, opened on a pool thread, is a child of its target's
-    // bench.target span in the same trace.
+    // Spans nest under their target: every campaign.module span,
+    // opened on an executor pool thread, and every attack study span is
+    // a child of its target's bench.target span in the same trace.
     let spans: Vec<Value> = jsonl
         .lines()
         .map(|l| serde_json::from_str::<Value>(l).expect("line parses"))
         .filter(|v| v.field("kind").as_str() == Some("span"))
         .collect();
     let id = |v: &Value, key: &str| v.field(key).as_str().expect("span ids present").to_string();
-    let modules: Vec<&Value> =
-        spans.iter().filter(|v| v.field("name").as_str() == Some("campaign.module")).collect();
-    assert!(!modules.is_empty(), "campaign.module spans in the trace");
-    for module in modules {
-        let parent = spans.iter().find(|v| {
-            id(v, "span_id") == id(module, "parent_id") && id(v, "trace_id") == id(module, "trace_id")
-        });
-        assert_eq!(
-            parent.and_then(|p| p.field("name").as_str()),
-            Some("bench.target"),
-            "campaign.module span must nest under bench.target: {module:?}"
-        );
+    for name in [
+        rh_obs::names::CAMPAIGN_MODULE,
+        rh_obs::names::ATTACK_TEMP_AWARE,
+        rh_obs::names::ATTACK_TRIGGER,
+        rh_obs::names::ATTACK_LONG_OPEN,
+    ] {
+        let children: Vec<&Value> =
+            spans.iter().filter(|v| v.field("name").as_str() == Some(name)).collect();
+        assert!(!children.is_empty(), "{name} spans in the trace");
+        for child in children {
+            let parent = spans.iter().find(|v| {
+                id(v, "span_id") == id(child, "parent_id")
+                    && id(v, "trace_id") == id(child, "trace_id")
+            });
+            assert_eq!(
+                parent.and_then(|p| p.field("name").as_str()),
+                Some(rh_obs::names::BENCH_TARGET),
+                "{name} span must nest under bench.target: {child:?}"
+            );
+        }
     }
 
     // A quarantine event round-trips its fields through JSON.

@@ -171,6 +171,16 @@ pub const DEFENSE_SIM_RUN: &str = "defense.sim.run";
 /// Deferred activation runs `DefenseSim` flushed into the module.
 pub const DEFENSE_SIM_FLUSHES: &str = "defense.sim.flushes";
 
+/// Span: the temperature-aware targeting study, attack improvement 1
+/// (fields: candidates, temperature).
+pub const ATTACK_TEMP_AWARE: &str = "attack.temp_aware";
+/// Span: building a temperature trigger, attack improvement 2 (fields:
+/// candidates, temperatures).
+pub const ATTACK_TRIGGER: &str = "attack.trigger";
+/// Span: the long-row-open study, attack improvement 3 (fields:
+/// victims, reads).
+pub const ATTACK_LONG_OPEN: &str = "attack.long_open";
+
 /// Span: one reproduction target.
 pub const BENCH_TARGET: &str = "bench.target";
 /// Span: one perf-bench workload repetition.
@@ -359,6 +369,9 @@ pub fn all() -> &'static [&'static str] {
         DEFENSE_THROTTLE_PS,
         DEFENSE_SIM_RUN,
         DEFENSE_SIM_FLUSHES,
+        ATTACK_TEMP_AWARE,
+        ATTACK_TRIGGER,
+        ATTACK_LONG_OPEN,
         BENCH_TARGET,
         BENCH_WORKLOAD,
         FLEET_DISPATCH,
